@@ -9,23 +9,24 @@ role pattern on each:
 * residue sum 2p-3: spine pattern plus one or two mixed regular cycles,
   chosen by the case split on (alpha, beta, gamma);
 * residue sum 3p-3: the (p-1,p-1,p-1) identity in the model [a,0,-a];
-* p in {2,3}: per-component patterns found by exhaustive enumeration of the
-  small blocks, assembled by an exact decomposition of the hair counts.
+* p in {2,3}: per-component pattern menus found by a depth-first search on
+  the shared edge-label bits (labeling.role_label_bits), assembled by an
+  exact decomposition of the hair counts.
 
 Shapes the explicit recipes do not reach (residue beta in {0,1} with a large
-Y class, and the all-Y-spine corner with an empty X class) fall back to a
-completion search; the gap is a known hole in the constructive case walk,
-not in the feasibility characterization.
+Y class, and the all-Y-spine corner with an empty X class) fall back to the
+same block menus on every cyclic model [e1,0,m*e1], at any p, and then to an
+oracle completion search on the model [e1,0,e2]; the gap is a known hole in
+the constructive case walk, not in the feasibility characterization.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import group, labeling
+from . import group, labeling, oracle
 from .errors import (
     ConstructionError,
     InfeasibleShapeError,
@@ -378,47 +379,33 @@ def _component_patterns(
     spine: bool,
 ) -> Dict[Tuple[int, int, int], Dict[Element, str]]:
     """All realizable role-count triples on one component, with one
-    representative FA-clean assignment each (first in lex enumeration order).
+    representative rainbow assignment each (first in lex enumeration order).
 
-    For spine components the cells include a, 0, b (kept unlabeled) and the
-    absolute rules at b-a / a-b apply; regular components see only the
-    relative rules and may be translated to any coset afterwards.
+    A depth-first search over the sorted free cells tries roles x, y, z and
+    prunes a role whose edge label (labeling.role_label_bits) is already
+    used.  For spine components the cells include a, 0, b (kept unlabeled)
+    and the spine-edge labels a, b start used; regular components start with
+    no label used and may be translated to any coset afterwards.
     """
-    zero = params.zero
-    spine_cells = {a, zero, b} if spine else set()
+    spine_cells = {a, params.zero, b} if spine else set()
     free = tuple(c for c in sorted(cells) if c not in spine_cells)
-    cell_set = set(cells)
-    b_minus_a = group.sub(params, b, a)
-    a_minus_b = group.sub(params, a, b)
-    step = {
-        c: (
-            group.add(params, c, a),
-            group.add(params, c, b),
-            group.add(params, c, b_minus_a),
-        )
-        for c in free
-    }
-    for c in free:
-        assert all(s in cell_set for s in step[c])
-
+    spine_bits, table = labeling.role_label_bits(params, a, b, free)
     out: Dict[Tuple[int, int, int], Dict[Element, str]] = {}
-    for roles in itertools.product(HAIR_ROLES, repeat=len(free)):
-        assign = dict(zip(free, roles))
-        if spine and (assign.get(b_minus_a) == X or assign.get(a_minus_b) == Z):
-            continue
-        ok = True
-        for c, role in assign.items():
-            plus_a, plus_b, plus_ba = step[c]
-            if role == X and assign.get(plus_a) == Y:
-                ok = False
-                break
-            if role == Z and (assign.get(plus_b) == Y or assign.get(plus_ba) == X):
-                ok = False
-                break
-        if not ok:
-            continue
-        triple = (roles.count(X), roles.count(Y), roles.count(Z))
-        out.setdefault(triple, assign)
+    roles: List[str] = []
+
+    def extend(used: int) -> None:
+        if len(roles) == len(free):
+            triple = pattern_counts(roles)
+            if triple not in out:
+                out[triple] = dict(zip(free, roles))
+            return
+        for role, bit in zip(HAIR_ROLES, table[free[len(roles)]]):
+            if not used & bit:
+                roles.append(role)
+                extend(used | bit)
+                roles.pop()
+
+    extend(spine_bits if spine else 0)
     return out
 
 
@@ -501,15 +488,12 @@ def small_p_patterns(params: GroupParams, shape: Shape) -> Labeling:
 
 def _fallback(params: GroupParams, shape: Shape) -> Labeling:
     """Completion search for feasible shapes outside the explicit recipes."""
-    from . import oracle  # local import to avoid a module cycle
-
     e1 = group.basis_vector(params, 0)
     # complete per-model decision over the cyclic models first
-    if params.p <= 13:
-        for m in range(2, params.p):
-            lab = _construct_by_blocks(params, shape, e1, group.scale(params, m, e1))
-            if lab is not None:
-                return lab
+    for m in range(2, params.p):
+        lab = _construct_by_blocks(params, shape, e1, group.scale(params, m, e1))
+        if lab is not None:
+            return lab
     if params.k >= 2:
         verdict = oracle.search(
             params,

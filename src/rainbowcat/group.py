@@ -128,13 +128,6 @@ def in_span(params: GroupParams, b: Element, a: Element) -> bool:
     return any(scale(params, m, a) == b for m in range(params.p))
 
 
-def is_subgroup(params: GroupParams, subset: Sequence[Element]) -> bool:
-    s = set(subset)
-    if params.zero not in s:
-        return False
-    return all(add(params, u, v) in s for u in s for v in s)
-
-
 def subgroup_basis(params: GroupParams, subgroup: Sequence[Element]) -> list:
     """Greedy independent generators, lex-smallest first."""
     basis: list = []
@@ -159,34 +152,23 @@ def cosets(
     element of the subgroup first unless overridden), so single-generator
     cosets read as the oriented cycle u, u+i, u+2i, ...
     """
-    if not is_subgroup(params, subgroup):
-        raise NotASubgroupError("input is not closed under addition")
     gens = list(generators) if generators is not None else subgroup_basis(params, subgroup)
     if set(span(params, gens)) != set(subgroup):
         raise NotASubgroupError("generators do not generate the given subgroup")
 
-    sub_set = set(subgroup)
+    p = params.p
+    offsets = [
+        tuple(sum(c * g[j] for c, g in zip(coeffs, gens)) % p for j in range(params.k))
+        for coeffs in itertools.product(range(p), repeat=len(gens))
+    ]
     seen = set()
-    reps = []
-    for e in elements(params):
-        if e in seen:
-            continue
-        coset = {add(params, e, s) for s in sub_set}
-        seen |= coset
-        reps.append(min(coset))
-    reps.sort()
-    reps.remove(params.zero)
-    reps.insert(0, params.zero)
-
     out = []
-    for rep in reps:
-        ordered = []
-        for coeffs in itertools.product(range(params.p), repeat=len(gens)):
-            v = rep
-            for c, g in zip(coeffs, gens):
-                v = add(params, v, scale(params, c, g))
-            ordered.append(v)
-        out.append(ordered)
+    for rep in elements(params):
+        if rep in seen:
+            continue
+        coset = [tuple((x + y) % p for x, y in zip(rep, off)) for off in offsets]
+        seen.update(coset)
+        out.append(coset)
     return out
 
 

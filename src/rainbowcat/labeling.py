@@ -1,5 +1,6 @@
 """Caterpillar data model: shapes, labelings, role partitions, the verifier,
-the forbidden-assignment checker, and the symmetry transforms.
+the edge-label bit table, the forbidden-assignment checker, and the symmetry
+transforms.
 
 The caterpillar C(h1,h2,h3) has three spine vertices carrying h1, h2, h3
 pendant hairs; its order equals the group order p^k.  A labeling assigns a
@@ -146,9 +147,14 @@ def _edges(params: GroupParams, lab: Labeling):
 
 
 def verify(params: GroupParams, shape: Shape, lab: Labeling) -> VerifyReport:
-    """Check vertex bijectivity and edge-label distinctness; report the first
-    failure found in canonical scan order, or the missing edge label if valid."""
+    """Check hair counts against the shape, vertex bijectivity and edge-label
+    distinctness; report the first failure found in canonical scan order, or
+    the missing edge label if valid.  A count mismatch raises
+    PartitionShapeMismatchError."""
     _check_shape(params, shape)
+    sizes = (len(lab.x), len(lab.y), len(lab.z))
+    if sizes != shape.h:
+        raise PartitionShapeMismatchError(f"hair counts {sizes} != shape {shape.h}")
     slots = [(e, f"spine{i + 1}") for i, e in enumerate(lab.spine)]
     for role in HAIR_ROLES:
         slots.extend((e, f"hair {role} {e}") for e in lab.hairs(role))
@@ -195,6 +201,27 @@ def missing_edge_label(params: GroupParams, shape: Shape, lab: Labeling) -> Elem
     for c, e in ((h1, a1), (h2 + 1, a2), (h3, a3)):
         acc = group.add(params, acc, group.scale(params, c, e))
     return group.neg(params, acc)
+
+
+def role_label_bits(
+    params: GroupParams, a: Element, b: Element, cells: Sequence[Element]
+) -> Tuple[int, Dict[Element, Tuple[int, int, int]]]:
+    """Edge labels of the model [a,0,b] as bits over params.index.
+
+    Returns the bits of the two spine-edge labels a and b, and for every cell
+    v the bits that roles x, y, z at v put on an edge: a+v, v, b+v.  A role
+    partition is rainbow iff no two of its bits coincide.
+    """
+    idx = params.index
+    table = {
+        v: (
+            1 << idx(group.add(params, a, v)),
+            1 << idx(v),
+            1 << idx(group.add(params, b, v)),
+        )
+        for v in cells
+    }
+    return (1 << idx(a)) | (1 << idx(b)), table
 
 
 Violation = Tuple[str, Element]

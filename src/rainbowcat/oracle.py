@@ -103,23 +103,10 @@ def _search_model(
     most-constrained-first with canonical-order ties; roles are tried x,y,z.
     """
     zero = params.zero
-    idx = params.index
-    n = params.order
-
-    consumed = (1 << idx(a)) | (1 << idx(b))
+    free: List[Element] = [v for v in group.elements(params) if v not in (zero, a, b)]
+    consumed, lab_bit = labeling.role_label_bits(params, a, b, free)
     if consumed.bit_count() != 2:
         return None  # degenerate model (a == b)
-
-    free: List[Element] = [v for v in group.elements(params) if v not in (zero, a, b)]
-    # label index consumed by assigning role r to v
-    lab_bit = {
-        v: (
-            1 << idx(group.add(params, a, v)),
-            1 << idx(v),
-            1 << idx(group.add(params, b, v)),
-        )
-        for v in free
-    }
     quotas = list(shape.h)
     assigned: Dict[Element, int] = {}
 

@@ -148,6 +148,16 @@ class TestVerify:
         assert code == 1
         assert "invalid" in out
 
+    def test_hair_counts_disagree_with_shape(self, capsys, tmp_path):
+        _, out, _ = run(capsys, "label", "--p", "5", "--k", "2", "--hairs", "2,5,15", "--format", "json")
+        data = json.loads(out)
+        data["shape"]["h"] = [3, 5, 14]
+        f = tmp_path / "miscounted.json"
+        f.write_text(json.dumps(data))
+        code, out, _ = run(capsys, "verify", "--input", str(f))
+        assert code == 2
+        assert not out.startswith("valid")
+
     def test_malformed_json(self, capsys, tmp_path):
         f = tmp_path / "broken.json"
         f.write_text("{not json")

@@ -262,8 +262,59 @@ class TestConstruct:
         with pytest.raises(UnsupportedInstanceError):
             constructor.small_p_patterns(params, shp(5, 2, (9, 4, 9)))
 
+    @pytest.mark.parametrize("h", [(117, 17, 152), (0, 16, 270)])
+    def test_p17_corners(self, h):
+        # beta_neg and empty_x corners of Z_17^2: no recipe, so the block
+        # menus of the cyclic models decide them at any p
+        params = GroupParams(17, 2)
+        shape = shp(17, 2, h)
+        with pytest.raises(constructor._NoRecipe):
+            constructor.plan_components(params, shape)
+        lab = constructor.construct(params, shape)
+        assert labeling.verify(params, shape, lab).valid
+
     def test_big_reflected_case(self):
         params = GroupParams(5, 2)
         shape = shp(5, 2, (22, 0, 0))
         lab = constructor.construct(params, shape)
         assert labeling.verify(params, shape, lab).valid
+
+
+def _brute_force_menu(params, a, b, spine):
+    """Lex-first clean assignment per role-count triple, by trying every role
+    tuple against labeling.check_forbidden.  The regular component is placed
+    on the coset e_{k+1} + <a,b> of Z_p^(k+1), away from the spine."""
+    cells = group.span(params, [a, b])
+    if spine:
+        host, place = params, lambda c: c
+        free = [c for c in cells if c not in (a, params.zero, b)]
+    else:
+        host, place = GroupParams(params.p, params.k + 1), lambda c: c + (1,)
+        a, b = a + (0,), b + (0,)
+        free = cells
+    menu = {}
+    for roles in itertools.product((X, Y, Z), repeat=len(free)):
+        part = {a: S1, host.zero: S2, b: S3}
+        for c, role in zip(free, roles):
+            part[place(c)] = role
+        if not labeling.check_forbidden(host, (a, b), part):
+            triple = (roles.count(X), roles.count(Y), roles.count(Z))
+            menu.setdefault(triple, dict(zip(free, roles)))
+    return menu
+
+
+def _menu_models():
+    for p, k, cyclic_only in ((2, 3, False), (3, 2, False), (5, 2, True), (7, 2, True)):
+        params = GroupParams(p, k)
+        models = oracle.canonical_models(params)
+        for a, b in models[:-1] if cyclic_only else models:
+            yield pytest.param(params, a, b, id=f"Z{p}^{k}-a{''.join(map(str, a))}-b{''.join(map(str, b))}")
+
+
+class TestBlockMenus:
+    @pytest.mark.parametrize("params,a,b", list(_menu_models()))
+    @pytest.mark.parametrize("spine", [True, False], ids=["spine", "regular"])
+    def test_menu_matches_brute_force(self, params, a, b, spine):
+        cells = tuple(group.span(params, [a, b]))
+        menu = constructor._component_patterns(params, a, b, cells, spine)
+        assert menu == _brute_force_menu(params, a, b, spine)

@@ -99,6 +99,14 @@ class TestVerify:
         assert not report.valid
         assert report.duplicate_vertex is not None
 
+    def test_hair_counts_must_match_shape(self):
+        # a rainbow labeling of (2,5,15) declared as (3,5,14): a bijection
+        # with distinct edge sums, but not a caterpillar of that shape
+        params = GroupParams(5, 2)
+        lab = constructor.construct(params, labeling.make_shape(params, (2, 5, 15)))
+        with pytest.raises(PartitionShapeMismatchError):
+            labeling.verify(params, labeling.make_shape(params, (3, 5, 14)), lab)
+
     def test_missing_edge_label_matches_set_difference(self):
         for params, shape, lab in VALID:
             report = labeling.verify(params, shape, lab)
