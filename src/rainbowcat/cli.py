@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import json
+import os
 import sys
 from typing import List, Optional, Tuple
 
@@ -82,7 +84,7 @@ def cmd_label(args) -> int:
             plan = constructor.plan_components(params, shape)
             print(json.dumps(plan.to_debug_dict()), file=sys.stderr)
         except constructor._NoRecipe as exc:
-            print(f"no explicit recipe ({exc}); used completion search", file=sys.stderr)
+            print(f"no explicit recipe ({exc}); decided per canonical spine model", file=sys.stderr)
     if args.format == "json":
         print(json.dumps(labeling.labeling_to_dict(params, shape, lab)))
     elif args.format == "dot":
@@ -129,21 +131,23 @@ def cmd_table(args) -> int:
         params = GroupParams(args.p, args.k)
     except ValueError as exc:
         raise _UsageError(str(exc))
-    shapes = oracle.all_shapes(params)
+    if args.jobs < 1:
+        raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
     tasks = [
         (args.p, args.k, shape.h, args.timeout_ms, args.cross_check)
-        for shape in shapes
+        for shape in oracle.all_shapes(params)
     ]
+    workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
     disagreement = False
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    with contextlib.ExitStack() as stack:
+        if workers > 1:
+            pool = stack.enter_context(
+                concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+            )
             rows = pool.map(_table_row, tasks)
-            for row in rows:
-                print(json.dumps(row))
-                disagreement |= row["agree"] is False
-    else:
-        for task in tasks:
-            row = _table_row(task)
+        else:
+            rows = map(_table_row, tasks)
+        for row in rows:
             print(json.dumps(row))
             disagreement |= row["agree"] is False
     return 1 if (args.cross_check and disagreement) else 0

@@ -1,23 +1,22 @@
 """Feasibility predicate and constructive engine for three-spine caterpillars.
 
 Feasibility is a closed-form residue test (three exception families for
-p >= 5, two for p = 3, a parity rule for p = 2).  Construction decomposes the
-Cayley digraph of the spine labels into components and realizes an explicit
-role pattern on each:
+p >= 5, two for p = 3, a parity rule for p = 2).  Construction places a role
+pattern on every coset of the subgroup the spine labels generate, through one
+assembler.  The patterns come from:
 
 * residue sum p-3: one spine-component pattern in a general model [a,0,b];
 * residue sum 2p-3: spine pattern plus one or two mixed regular cycles,
   chosen by the case split on (alpha, beta, gamma);
 * residue sum 3p-3: the (p-1,p-1,p-1) identity in the model [a,0,-a];
-* p in {2,3}: per-component pattern menus found by a depth-first search on
-  the shared edge-label bits (labeling.role_label_bits), assembled by an
-  exact decomposition of the hair counts.
-
-Shapes the explicit recipes do not reach (residue beta in {0,1} with a large
-Y class, and the all-Y-spine corner with an empty X class) fall back to the
-same block menus on every cyclic model [e1,0,m*e1], at any p, and then to an
-oracle completion search on the model [e1,0,e2]; the gap is a known hole in
-the constructive case walk, not in the feasibility characterization.
+* otherwise (all of p in {2,3}, and the corners the recipes miss: residue
+  beta in {0,1} with a large Y class, and the all-Y-spine corner with an
+  empty X class), one walk over the oracle's canonical spine models.  Each
+  model is decided by per-coset pattern menus, found by a depth-first search
+  on the shared edge-label bits (labeling.role_label_bits), and an exact
+  decomposition of the hair counts; the independent model [e1,0,e2] at
+  p >= 5 is searched by the oracle instead.  The corners are a known hole in
+  the constructive case walk, not in the feasibility characterization.
 """
 
 from __future__ import annotations
@@ -252,7 +251,7 @@ def plan_components(params: GroupParams, shape: Shape) -> ComponentPlan:
     """Select model and per-component triples for a feasible shape, p >= 5.
 
     Raises _NoRecipe when the explicit case machinery does not apply (the
-    caller then runs the completion-search fallback).
+    caller then walks the canonical spine models).
     """
     p = params.p
     h = shape.h
@@ -346,25 +345,36 @@ def _plan_general(params, h, a, b, g) -> ComponentPlan:
     return _finish_plan(params, h, a_prime, b_prime, spine, mixed, reflected)
 
 
+def _assemble(
+    params: GroupParams,
+    shape: Shape,
+    comps: Sequence[Sequence[Element]],
+    spine: Dict[Element, str],
+    blocks: Sequence[Dict[Element, str]],
+) -> Labeling:
+    """Place role maps on the cosets of group.cosets(params, gens).
+
+    ``spine`` maps the subgroup H = comps[0] to roles, spine markers
+    included; blocks[j] maps H to the roles of regular coset comps[j + 1],
+    whose element at position i is min(coset) + H[i].
+    """
+    part = dict(spine)
+    for block, comp in zip(blocks, comps[1:]):
+        for h, v in zip(comps[0], comp):
+            part[v] = block[h]
+    return labeling.partition_to_labeling(params, shape, part)
+
+
 def _assemble_plan(params: GroupParams, h: Tuple[int, int, int], plan: ComponentPlan) -> Labeling:
     """Instantiate a ComponentPlan as a labeling of the (working) shape h."""
     i = plan.generator
-    comps = group.cosets(params, group.span(params, [i]), generators=[i])
-    part: Dict[Element, str] = {}
-    for pos, role in enumerate(plan.spine_pattern):
-        part[comps[0][pos]] = role
-    regs = comps[1:]
-    for pat, comp in zip(plan.mixed, regs):
-        for pos, role in enumerate(pat):
-            part[comp[pos]] = role
-    at = len(plan.mixed)
+    comps = group.cosets(params, [i])
+    cycle = [group.scale(params, m, i) for m in range(params.p)]
+    blocks = [dict(zip(cycle, pat)) for pat in plan.mixed]
     for role in HAIR_ROLES:
-        for _ in range(plan.uniform[role]):
-            for v in regs[at]:
-                part[v] = role
-            at += 1
-    shape = labeling.make_shape(params, h)
-    return labeling.partition_to_labeling(params, shape, part)
+        blocks += [dict.fromkeys(comps[0], role)] * plan.uniform[role]
+    spine = dict(zip(cycle, plan.spine_pattern))
+    return _assemble(params, labeling.make_shape(params, h), comps, spine, blocks)
 
 
 # --- small-group machinery: enumerate per-component patterns ----------------
@@ -444,69 +454,50 @@ def _decompose(
 def _construct_by_blocks(params: GroupParams, shape: Shape, a: Element, b: Element) -> Optional[Labeling]:
     """Complete per-model decision procedure via block enumeration + exact
     decomposition of the hair counts.  None means unrealizable in this model."""
-    subgroup = group.span(params, [a, b])
-    comps = group.cosets(params, subgroup)
-    spine_menu = _component_patterns(params, a, b, tuple(comps[0]), True)
-    reg_menu = _component_patterns(params, a, b, tuple(subgroup), False)
-    n_regular = len(comps) - 1
+    comps = group.cosets(params, [a, b])
+    subgroup = tuple(comps[0])
+    spine_menu = _component_patterns(params, a, b, subgroup, True)
+    reg_menu = _component_patterns(params, a, b, subgroup, False)
     for s in sorted(spine_menu):
         rest = tuple(hv - sv for hv, sv in zip(shape.h, s))
         if any(v < 0 for v in rest):
             continue
-        blocks = _decompose(rest, list(reg_menu), n_regular)
+        blocks = _decompose(rest, list(reg_menu), len(comps) - 1)
         if blocks is None:
             continue
-        part: Dict[Element, str] = {a: S1, params.zero: S2, b: S3}
-        part.update(spine_menu[s])
-        for tri, comp in zip(blocks, comps[1:]):
-            rep = min(comp)
-            for cell, role in reg_menu[tri].items():
-                part[group.add(params, rep, cell)] = role
-        return labeling.partition_to_labeling(params, shape, part)
+        spine = {a: S1, params.zero: S2, b: S3, **spine_menu[s]}
+        return _assemble(params, shape, comps, spine, [reg_menu[t] for t in blocks])
     return None
 
 
+def _construct_by_models(params: GroupParams, shape: Shape) -> Labeling:
+    """Decide the shape per canonical spine model, in the oracle's order.
+
+    Block menus decide every model except the independent pair at p >= 5,
+    whose spine menu grows too fast there; the oracle searches that model.
+    """
+    for a, b in oracle.canonical_models(params):
+        if params.p >= 5 and b not in group.span(params, [a]):
+            budget = oracle.SearchBudget(node_limit=20_000_000)
+            lab = oracle.search(params, shape, budget, models=[(a, b)]).labeling
+        else:
+            lab = _construct_by_blocks(params, shape, a, b)
+        if lab is not None:
+            return lab
+    raise ConstructionError(
+        f"no canonical spine model realizes shape {shape.h} "
+        f"over Z_{params.p}^{params.k}"
+    )
+
+
 def small_p_patterns(params: GroupParams, shape: Shape) -> Labeling:
-    """Constructions for p in {2,3}: spine-block plus 4- or 9-block patterns."""
-    p = params.p
-    if p not in (2, 3):
+    """Constructions for p in {2,3}: block menus on the canonical models."""
+    if params.p not in (2, 3):
         raise UnsupportedInstanceError("small_p_patterns handles p in {2,3} only")
     verdict = feasibility(params, shape)
     if not verdict.feasible:
         raise InfeasibleShapeError(verdict)
-    e1 = group.basis_vector(params, 0)
-    models: List[Tuple[Element, Element]] = []
-    if p == 3:
-        models.append((e1, group.scale(params, 2, e1)))
-    models.append((e1, group.basis_vector(params, 1)))
-    for a, b in models:
-        lab = _construct_by_blocks(params, shape, a, b)
-        if lab is not None:
-            return lab
-    raise ConstructionError(f"no small-p decomposition found for {shape.h}")
-
-
-def _fallback(params: GroupParams, shape: Shape) -> Labeling:
-    """Completion search for feasible shapes outside the explicit recipes."""
-    e1 = group.basis_vector(params, 0)
-    # complete per-model decision over the cyclic models first
-    for m in range(2, params.p):
-        lab = _construct_by_blocks(params, shape, e1, group.scale(params, m, e1))
-        if lab is not None:
-            return lab
-    if params.k >= 2:
-        verdict = oracle.search(
-            params,
-            shape,
-            budget=oracle.SearchBudget(node_limit=20_000_000),
-            models=[(e1, group.basis_vector(params, 1))],
-        )
-        if verdict.outcome == oracle.FOUND:
-            return verdict.labeling
-    raise ConstructionError(
-        f"completion search found no labeling for shape {shape.h} "
-        f"over Z_{params.p}^{params.k}"
-    )
+    return _construct_by_models(params, shape)
 
 
 def construct(params: GroupParams, shape: Shape) -> Labeling:
@@ -524,7 +515,7 @@ def construct(params: GroupParams, shape: Shape) -> Labeling:
             if plan.reflected:
                 lab = labeling.reflect(params, lab)
         except _NoRecipe:
-            lab = _fallback(params, shape)
+            lab = _construct_by_models(params, shape)
     report = labeling.verify(params, shape, lab)
     if not report.valid:
         raise ConstructionError(f"internal: construction failed verification: {report}")

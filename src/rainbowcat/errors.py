@@ -9,14 +9,6 @@ class InvalidElementError(RainbowError, ValueError):
     """Element does not belong to the group (wrong arity or unreduced coordinate)."""
 
 
-class InvalidGeneratorError(RainbowError, ValueError):
-    """A nonzero generator was required."""
-
-
-class NotASubgroupError(RainbowError, ValueError):
-    """Input set is not closed under addition or misses the identity."""
-
-
 class InvalidShapeError(RainbowError, ValueError):
     """Hair counts do not describe a three-spine caterpillar of order p^k."""
 
@@ -42,9 +34,6 @@ class InfeasibleShapeError(RainbowError):
 
 
 class ConstructionError(RainbowError):
-    """No recipe and no completion search produced a labeling (should not happen
-    on predicate-feasible shapes; raised instead of returning garbage)."""
+    """No recipe and no canonical spine model produced a labeling (should not
+    happen on predicate-feasible shapes; raised instead of returning garbage)."""
 
-
-class InconsistentSeedError(RainbowError, ValueError):
-    """Seed partition already violates edge-label uniqueness or quotas."""

@@ -11,25 +11,37 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
-from .errors import (
-    InvalidElementError,
-    InvalidGeneratorError,
-    NotASubgroupError,
-)
+from .errors import InvalidElementError
 
 Element = Tuple[int, ...]
+
+
+# Miller-Rabin with the first twelve primes as bases is exact below
+# 3.18 * 10**23, which covers every p with p**k < 2**64.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -41,12 +53,15 @@ class GroupParams:
     k: int
 
     def __post_init__(self):
-        if not _is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
+        if type(self.p) is not int or type(self.k) is not int:
+            raise ValueError(f"p and k must be integers, got {self.p!r}, {self.k!r}")
         if self.k < 1:
             raise ValueError(f"k must be positive, got {self.k}")
-        if self.p ** self.k >= 2 ** 64:
+        # size before primality; k >= 64 alone rules out p**k < 2**64
+        if self.k >= 64 or self.p ** self.k >= 2 ** 64:
             raise ValueError(f"group order {self.p}^{self.k} does not fit in 64 bits")
+        if not _is_prime(self.p):
+            raise ValueError(f"p must be prime, got {self.p}")
 
     @property
     def order(self) -> int:
@@ -119,54 +134,21 @@ def span(params: GroupParams, gens: Iterable[Element]) -> list:
     return sorted(seen)
 
 
-def in_span(params: GroupParams, b: Element, a: Element) -> bool:
-    """True iff b = m*a for some scalar m."""
-    params.validate(b)
-    params.validate(a)
-    if a == params.zero:
-        raise InvalidGeneratorError("span membership needs a nonzero generator")
-    return any(scale(params, m, a) == b for m in range(params.p))
+def cosets(params: GroupParams, gens: Sequence[Element]) -> list:
+    """Partition of the group into cosets of H = span(gens).
 
-
-def subgroup_basis(params: GroupParams, subgroup: Sequence[Element]) -> list:
-    """Greedy independent generators, lex-smallest first."""
-    basis: list = []
-    covered = {params.zero}
-    for e in sorted(subgroup):
-        if e not in covered:
-            basis.append(e)
-            covered = set(span(params, basis))
-    return basis
-
-
-def cosets(
-    params: GroupParams,
-    subgroup: Sequence[Element],
-    generators: Optional[Sequence[Element]] = None,
-) -> list:
-    """Partition of the group into cosets of ``subgroup``.
-
-    The coset containing 0 comes first; the rest follow in lex order of their
-    smallest representative.  Within a coset, elements are listed row-major in
-    the coefficients of the orientation generators (the lex-smallest nonzero
-    element of the subgroup first unless overridden), so single-generator
-    cosets read as the oriented cycle u, u+i, u+2i, ...
+    H comes first, in lex order.  Every other coset C follows in lex order of
+    min(C) and is listed as min(C) + h for h in H, so position i of every
+    coset corresponds to H[i].
     """
-    gens = list(generators) if generators is not None else subgroup_basis(params, subgroup)
-    if set(span(params, gens)) != set(subgroup):
-        raise NotASubgroupError("generators do not generate the given subgroup")
-
+    subgroup = span(params, gens)
     p = params.p
-    offsets = [
-        tuple(sum(c * g[j] for c, g in zip(coeffs, gens)) % p for j in range(params.k))
-        for coeffs in itertools.product(range(p), repeat=len(gens))
-    ]
-    seen = set()
-    out = []
+    seen = set(subgroup)
+    out = [subgroup]
     for rep in elements(params):
         if rep in seen:
             continue
-        coset = [tuple((x + y) % p for x, y in zip(rep, off)) for off in offsets]
+        coset = [tuple((x + y) % p for x, y in zip(rep, h)) for h in subgroup]
         seen.update(coset)
         out.append(coset)
     return out
@@ -206,8 +188,12 @@ def element_to_json(e: Element) -> list:
 
 
 def element_from_json(params: GroupParams, data) -> Element:
-    if not isinstance(data, list) or len(data) != params.k:
+    if (
+        not isinstance(data, list)
+        or len(data) != params.k
+        or any(type(c) is not int for c in data)
+    ):
         raise InvalidElementError(f"bad element payload {data!r}")
-    e = tuple(int(c) for c in data)
+    e = tuple(data)
     params.validate(e)
     return e

@@ -43,8 +43,8 @@ class Shape:
 
 
 def make_shape(params: GroupParams, h: Sequence[int]) -> Shape:
-    h = tuple(int(v) for v in h)
-    if len(h) != 3 or any(v < 0 for v in h):
+    h = tuple(h)
+    if len(h) != 3 or any(type(v) is not int or v < 0 for v in h):
         raise InvalidShapeError(f"need three non-negative hair counts, got {h}")
     if params.order < 3:
         raise InvalidShapeError("no three-spine caterpillar on fewer than 3 vertices")
@@ -305,7 +305,7 @@ def labeling_to_dict(params: GroupParams, shape: Shape, lab: Labeling) -> dict:
 
 def labeling_from_dict(data: dict) -> Tuple[GroupParams, Shape, Labeling]:
     try:
-        params = GroupParams(int(data["group"]["p"]), int(data["group"]["k"]))
+        params = GroupParams(data["group"]["p"], data["group"]["k"])
         shape = make_shape(params, data["shape"]["h"])
         spine = tuple(group.element_from_json(params, e) for e in data["spine"])
         if len(spine) != 3:

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import group, labeling
-from .errors import InconsistentSeedError
 from .group import Element, GroupParams
 from .labeling import Labeling, Shape
 
@@ -95,7 +94,6 @@ def _search_model(
     a: Element,
     b: Element,
     budget: _Budget,
-    seed: Optional[Dict[Element, str]] = None,
 ) -> Optional[Dict[Element, str]]:
     """Backtracking over one model; returns a full role partition or None.
 
@@ -109,17 +107,7 @@ def _search_model(
         return None  # degenerate model (a == b)
     quotas = list(shape.h)
     assigned: Dict[Element, int] = {}
-
-    if seed:
-        for v, role in seed.items():
-            r = labeling.HAIR_ROLES.index(role)
-            bit = lab_bit[v][r]
-            if consumed & bit or quotas[r] == 0:
-                raise InconsistentSeedError(f"seed role {role} at {v} conflicts")
-            consumed |= bit
-            quotas[r] -= 1
-            assigned[v] = r
-    unassigned = [v for v in free if v not in assigned]
+    unassigned = list(free)
 
     def backtrack(consumed: int) -> bool:
         if not unassigned:
@@ -188,30 +176,6 @@ def search(
         if state.exhausted:
             return OracleVerdict(BUDGETED, None, state.nodes, tried, _ms(start))
     return OracleVerdict(INFEASIBLE, None, state.nodes, tried, _ms(start))
-
-
-def complete(
-    params: GroupParams,
-    model: Tuple[Element, Element],
-    partial: Dict[Element, str],
-    quotas: Sequence[int],
-    budget: Optional[SearchBudget] = None,
-) -> OracleVerdict:
-    """Completion search from a seeded partial partition (constructor fallback).
-
-    ``partial`` maps free elements to hair roles; ``quotas`` are the total
-    target hair counts including the seeded ones.
-    """
-    shape = labeling.make_shape(params, quotas)
-    start = time.monotonic()
-    state = _Budget(budget)
-    a, b = model
-    part = _search_model(params, shape, a, b, state, seed=partial)
-    if part is not None:
-        lab = labeling.partition_to_labeling(params, shape, part)
-        return OracleVerdict(FOUND, lab, state.nodes, [model], _ms(start))
-    outcome = BUDGETED if state.exhausted else INFEASIBLE
-    return OracleVerdict(outcome, None, state.nodes, [model], _ms(start))
 
 
 def all_shapes(params: GroupParams) -> List[Shape]:

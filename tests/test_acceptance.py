@@ -117,7 +117,7 @@ def test_criterion_6_structural_invariants_3_2():
     params = GroupParams(3, 2)
     e1, e2 = (1, 0), (0, 1)
     for a, b in (((1, 0), (2, 0)), (e1, e2)):
-        in_span = group.in_span(params, b, a)
+        in_span = b in group.span(params, [a])
         subgroup = group.span(params, [a, b])
         regular = group.cosets(params, subgroup)[1:]
         free = [e for e in group.elements(params) if e not in (params.zero, a, b)]

@@ -117,6 +117,38 @@ class TestTable:
         assert code == 0
         assert len(out.strip().splitlines()) == 3
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_2(self, capsys, jobs):
+        code, out, _ = run(capsys, "table", "--p", "2", "--k", "2", "--jobs", jobs)
+        assert code == 2
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "jobs, cpus, workers", [("64", 8, [3]), ("64", 2, [2]), ("2", 8, [2]), ("1", 8, [])]
+    )
+    def test_pool_size_capped(self, capsys, monkeypatch, jobs, cpus, workers):
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        code, out, _ = run(capsys, "table", "--p", "2", "--k", "2", "--cross-check", "--jobs", jobs)
+        assert code == 0
+        assert len(out.strip().splitlines()) == 3
+        assert started == workers
+
 
 class TestVerify:
     def _labeling_json(self, capsys):
@@ -153,6 +185,26 @@ class TestVerify:
         data = json.loads(out)
         data["shape"]["h"] = [3, 5, 14]
         f = tmp_path / "miscounted.json"
+        f.write_text(json.dumps(data))
+        code, out, _ = run(capsys, "verify", "--input", str(f))
+        assert code == 2
+        assert not out.startswith("valid")
+
+    @pytest.mark.parametrize(
+        "where, value",
+        [("coord", 1.9), ("coord", True), ("coord", "1"), ("p", 5.7), ("h1", 3.2)],
+    )
+    def test_non_integer_numbers_exit_2(self, capsys, tmp_path, where, value):
+        _, out, _ = run(capsys, "label", "--p", "5", "--k", "2", "--hairs", "3,5,14", "--format", "json")
+        data = json.loads(out)
+        if where == "coord":
+            hair = next(e for e in data["hairs"]["z"] if 1 in e)
+            hair[hair.index(1)] = value
+        elif where == "p":
+            data["group"]["p"] = value
+        else:
+            data["shape"]["h"][0] = value
+        f = tmp_path / "non_integer.json"
         f.write_text(json.dumps(data))
         code, out, _ = run(capsys, "verify", "--input", str(f))
         assert code == 2

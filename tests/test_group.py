@@ -1,14 +1,12 @@
 """Group arithmetic, span/coset structure, and the element-index bijection."""
 
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
 from rainbowcat import group
-from rainbowcat.errors import (
-    InvalidElementError,
-    InvalidGeneratorError,
-    NotASubgroupError,
-)
+from rainbowcat.errors import InvalidElementError
 from rainbowcat.group import GroupParams
 
 PARAMS = [GroupParams(2, 2), GroupParams(2, 3), GroupParams(3, 2), GroupParams(5, 1)]
@@ -32,6 +30,37 @@ class TestGroupParams:
     def test_rejects_nonpositive_k(self):
         with pytest.raises(ValueError):
             GroupParams(3, 0)
+
+    def test_rejects_non_integer_p_and_k(self):
+        for p, k in ((5.7, 2), (5, 2.0), (True, 2), ("5", 2), (5, True)):
+            with pytest.raises(ValueError):
+                GroupParams(p, k)
+
+    def test_large_prime_accepted_quickly(self):
+        start = time.monotonic()
+        assert GroupParams(2 ** 61 - 1, 1).order == 2 ** 61 - 1
+        assert time.monotonic() - start < 1.0
+
+    def test_oversized_group_rejected_before_primality(self):
+        start = time.monotonic()
+        for p, k in ((10 ** 16 + 61, 2), (2 ** 61 - 1, 10 ** 9), (10 ** 40 + 1, 1)):
+            with pytest.raises(ValueError, match="64 bits"):
+                GroupParams(p, k)
+        assert time.monotonic() - start < 1.0
+
+    def test_rejects_strong_pseudoprime(self):
+        # 3215031751 = 151 * 751 * 28351 passes Miller-Rabin to bases 2, 3, 5, 7
+        assert not group._is_prime(3215031751)
+        with pytest.raises(ValueError, match="prime"):
+            GroupParams(3215031751, 1)
+
+    def test_primality_matches_trial_division(self):
+        def trial(n):
+            return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+        assert [n for n in range(10 ** 4) if group._is_prime(n)] == [
+            n for n in range(10 ** 4) if trial(n)
+        ]
 
     def test_order_zero(self):
         prm = GroupParams(3, 2)
@@ -107,22 +136,6 @@ class TestSpan:
         if e != prm.zero:
             assert len(group.span(prm, [e])) == prm.p
 
-    def test_in_span(self):
-        prm = GroupParams(3, 2)
-        assert group.in_span(prm, (0, 2), (0, 1))
-        assert not group.in_span(prm, (1, 0), (0, 1))
-        assert group.in_span(GroupParams(5, 2), (3, 0), (1, 0))
-
-    def test_in_span_rejects_zero_generator(self):
-        with pytest.raises(InvalidGeneratorError):
-            group.in_span(GroupParams(3, 2), (1, 0), (0, 0))
-
-    def test_subgroup_basis_regenerates(self):
-        prm = GroupParams(3, 2)
-        sub = group.span(prm, [(1, 2)])
-        basis = group.subgroup_basis(prm, sub)
-        assert sorted(group.span(prm, basis)) == sorted(sub)
-
 
 class TestCosets:
     def test_coset_examples(self):
@@ -146,18 +159,20 @@ class TestCosets:
         assert sorted(flat) == sorted(group.elements(prm))
         assert len(set(flat)) == len(flat)
 
-    def test_cosets_follow_generator_orientation(self):
+    def test_cosets_list_min_plus_subgroup(self):
         prm = GroupParams(5, 2)
-        i = (1, 0)
-        comps = group.cosets(prm, group.span(prm, [i]), generators=[i])
-        for comp in comps:
-            for m in range(1, 5):
-                assert comp[m] == group.add(prm, comp[m - 1], i)
+        for gens in ([(1, 2)], [(1, 0), (2, 0)], [(0, 1), (1, 0)]):
+            comps = group.cosets(prm, gens)
+            assert comps[0] == group.span(prm, gens)
+            mins = [min(c) for c in comps]
+            assert mins[0] == prm.zero and mins[1:] == sorted(mins[1:])
+            for comp in comps:
+                assert comp == [group.add(prm, min(comp), h) for h in comps[0]]
 
-    def test_rejects_non_subgroup(self):
+    def test_span_of_subgroup_gives_same_cosets(self):
         prm = GroupParams(3, 2)
-        with pytest.raises(NotASubgroupError):
-            group.cosets(prm, [(0, 0), (0, 1)])
+        sub = group.span(prm, [(1, 2)])
+        assert group.cosets(prm, sub) == group.cosets(prm, [(1, 2)])
 
 
 class TestMatrices:
@@ -180,3 +195,8 @@ class TestJson:
     def test_bad_payload(self):
         with pytest.raises(InvalidElementError):
             group.element_from_json(GroupParams(3, 2), [1])
+
+    @pytest.mark.parametrize("coord", [1.9, 1.0, True, "1", None])
+    def test_rejects_non_integer_coordinate(self, coord):
+        with pytest.raises(InvalidElementError):
+            group.element_from_json(GroupParams(3, 2), [0, coord])

@@ -1,11 +1,7 @@
-"""Exhaustive search engine: canonical models, budgets, completion, tables."""
+"""Exhaustive search engine: canonical models, budgets, tables."""
 
-import pytest
-
-from rainbowcat import constructor, group, labeling, oracle
-from rainbowcat.errors import InconsistentSeedError
+from rainbowcat import labeling, oracle
 from rainbowcat.group import GroupParams
-from rainbowcat.labeling import X, Y, Z
 
 
 class TestCanonicalModels:
@@ -58,45 +54,6 @@ class TestSearch:
         models = oracle.canonical_models(params)
         for ms in (models, models[::-1]):
             assert oracle.search(params, shape, models=ms).outcome == oracle.INFEASIBLE
-
-
-class TestComplete:
-    def test_full_seed_zero_nodes(self):
-        params = GroupParams(3, 2)
-        shape = labeling.make_shape(params, (1, 3, 2))
-        lab = constructor.construct(params, shape)
-        part = labeling.labeling_to_partition(
-            params, labeling.translate(params, lab, group.neg(params, lab.spine[1]))
-        )
-        a = next(e for e, r in part.items() if r == "s1")
-        b = next(e for e, r in part.items() if r == "s3")
-        seed = {e: r for e, r in part.items() if r in (X, Y, Z)}
-        v = oracle.complete(params, (a, b), seed, shape.h)
-        assert v.outcome == oracle.FOUND
-        assert v.nodes == 0
-
-    def test_one_hole(self):
-        params = GroupParams(3, 2)
-        shape = labeling.make_shape(params, (1, 3, 2))
-        lab = constructor.construct(params, shape)
-        part = labeling.labeling_to_partition(
-            params, labeling.translate(params, lab, group.neg(params, lab.spine[1]))
-        )
-        a = next(e for e, r in part.items() if r == "s1")
-        b = next(e for e, r in part.items() if r == "s3")
-        seed = {e: r for e, r in part.items() if r in (X, Y, Z)}
-        hole = sorted(seed)[0]
-        del seed[hole]
-        v = oracle.complete(params, (a, b), seed, shape.h)
-        assert v.outcome == oracle.FOUND
-        assert v.nodes <= 3
-
-    def test_inconsistent_seed(self):
-        params = GroupParams(3, 2)
-        a, b = (1, 0), (2, 0)
-        # X at (0,1) consumes edge label a+(0,1) = (1,1); Y at (1,1) consumes (1,1)
-        with pytest.raises(InconsistentSeedError):
-            oracle.complete(params, (a, b), {(0, 1): X, (1, 1): Y}, (1, 1, 4))
 
 
 class TestShapesAndTable:
