@@ -5,6 +5,8 @@ Exit codes are the machine contract:
 * label / feasible: 0 feasible, 1 infeasible, 2 usage error
 * oracle: 0 found, 1 exhausted-infeasible, 3 budgeted-unknown
 * table: with --cross-check, nonzero iff some row disagrees
+* oracle / table: 2 for groups of order above oracle.MAX_ORDER = 512, which
+  the exhaustive search (one recursion level per element) cannot handle
 * verify: 0 valid, 1 invalid, 2 parse error
 
 Data goes to stdout, diagnostics to stderr.
@@ -80,11 +82,14 @@ def cmd_label(args) -> int:
             print(exc.verdict.detail, file=sys.stderr)
         return 1
     if args.verbose and params.p >= 5:
+        twin = constructor.empty_x_twin(params, shape)
         try:
-            plan = constructor.plan_components(params, shape)
+            plan = constructor.plan_components(params, twin or shape)
+            if twin:
+                print(f"empty-X corner; built as the isomorphic tree C{twin.h}", file=sys.stderr)
             print(json.dumps(plan.to_debug_dict()), file=sys.stderr)
         except constructor._NoRecipe as exc:
-            print(f"no explicit recipe ({exc}); decided per canonical spine model", file=sys.stderr)
+            print(f"no explicit recipe ({exc}); block menus per cyclic spine model", file=sys.stderr)
     if args.format == "json":
         print(json.dumps(labeling.labeling_to_dict(params, shape, lab)))
     elif args.format == "dot":
@@ -131,6 +136,7 @@ def cmd_table(args) -> int:
         params = GroupParams(args.p, args.k)
     except ValueError as exc:
         raise _UsageError(str(exc))
+    oracle.check_order(params)
     if args.jobs < 1:
         raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
     tasks = [

@@ -3,20 +3,22 @@
 Feasibility is a closed-form residue test (three exception families for
 p >= 5, two for p = 3, a parity rule for p = 2).  Construction places a role
 pattern on every coset of the subgroup the spine labels generate, through one
-assembler.  The patterns come from:
+assembler; nothing in it searches over labelings.  The patterns come from:
 
 * residue sum p-3: one spine-component pattern in a general model [a,0,b];
 * residue sum 2p-3: spine pattern plus one or two mixed regular cycles,
   chosen by the case split on (alpha, beta, gamma);
 * residue sum 3p-3: the (p-1,p-1,p-1) identity in the model [a,0,-a];
+* the empty-X corner, residues (0, p-1, p-2) with h1 = 0: C(0,h2,h3) is the
+  same tree as C(h2+1, h3-1, 0), whose residues (0, p-3, 0) take the first
+  recipe; its labeling maps back (empty_x_twin; the mirror likewise);
 * otherwise (all of p in {2,3}, and the corners the recipes miss: residue
-  beta in {0,1} with a large Y class, and the all-Y-spine corner with an
-  empty X class), one walk over the oracle's canonical spine models.  Each
-  model is decided by per-coset pattern menus, found by a depth-first search
-  on the shared edge-label bits (labeling.role_label_bits), and an exact
-  decomposition of the hair counts; the independent model [e1,0,e2] at
-  p >= 5 is searched by the oracle instead.  The corners are a known hole in
-  the constructive case walk, not in the feasibility characterization.
+  beta in {0,1} with a large Y class), one walk over the oracle's canonical
+  spine models (at p >= 5 the cyclic ones only).  Each model is decided by
+  per-coset pattern menus, found by a depth-first search on the shared
+  edge-label bits (labeling.role_label_bits), and a decomposition of the
+  hair counts into menu triples that searches breadth-first by residue class
+  (_decompose).
 """
 
 from __future__ import annotations
@@ -251,7 +253,7 @@ def plan_components(params: GroupParams, shape: Shape) -> ComponentPlan:
     """Select model and per-component triples for a feasible shape, p >= 5.
 
     Raises _NoRecipe when the explicit case machinery does not apply (the
-    caller then walks the canonical spine models).
+    caller then builds the empty_x_twin, or walks the cyclic spine models).
     """
     p = params.p
     h = shape.h
@@ -365,8 +367,9 @@ def _assemble(
     return labeling.partition_to_labeling(params, shape, part)
 
 
-def _assemble_plan(params: GroupParams, h: Tuple[int, int, int], plan: ComponentPlan) -> Labeling:
-    """Instantiate a ComponentPlan as a labeling of the (working) shape h."""
+def _assemble_plan(params: GroupParams, shape: Shape, plan: ComponentPlan) -> Labeling:
+    """Instantiate a ComponentPlan as a labeling of the shape (reflecting back
+    when the plan was made for the mirror shape)."""
     i = plan.generator
     comps = group.cosets(params, [i])
     cycle = [group.scale(params, m, i) for m in range(params.p)]
@@ -374,7 +377,45 @@ def _assemble_plan(params: GroupParams, h: Tuple[int, int, int], plan: Component
     for role in HAIR_ROLES:
         blocks += [dict.fromkeys(comps[0], role)] * plan.uniform[role]
     spine = dict(zip(cycle, plan.spine_pattern))
-    return _assemble(params, labeling.make_shape(params, h), comps, spine, blocks)
+    if not plan.reflected:
+        return _assemble(params, shape, comps, spine, blocks)
+    mirror = labeling.make_shape(params, shape.h[::-1])
+    return labeling.reflect(params, _assemble(params, mirror, comps, spine, blocks))
+
+
+def empty_x_twin(params: GroupParams, shape: Shape) -> Optional[Shape]:
+    """The shape of the same tree that a recipe builds, for an empty-X corner.
+
+    With h1 = 0 the vertex a1 is one more leaf of a2, so C(0,h2,h3) is the
+    tree C(h2+1, h3-1, 0) whose third spine vertex is a leaf of a3; the
+    mirror C(h1,h2,0) is C(0, h1-1, h2+1).  Both twins have residues
+    (0, p-3, 0), which the residue-sum p-3 recipe covers.  None for every
+    other shape (and for p < 5).
+    """
+    p = params.p
+    h1, h2, h3 = shape.h
+    res = labeling.residues(params, shape).as_tuple()
+    if p >= 5 and h1 == 0 and res == (0, p - 1, p - 2):
+        return labeling.make_shape(params, (h2 + 1, h3 - 1, 0))
+    if p >= 5 and h3 == 0 and res == (p - 2, p - 1, 0):
+        return labeling.make_shape(params, (0, h1 - 1, h2 + 1))
+    return None
+
+
+def _from_twin(params: GroupParams, shape: Shape, twin: Labeling) -> Labeling:
+    """Map a labeling of empty_x_twin(shape) back to the corner shape.
+
+    For C(0,h2,h3) from C(h2+1,h3-1,0) with spine (b1,b2,b3): a1 is the
+    first X hair, a2 = b1, a3 = b2, Y is the other X hairs and Z is the Y
+    hairs plus b3.  The mirror corner goes through the reflection.
+    """
+    mirrored = shape.h[0] != 0
+    if mirrored:
+        twin = labeling.reflect(params, twin)
+    b1, b2, b3 = twin.spine
+    a1, *y = twin.x
+    lab = labeling.make_labeling((a1, b1, b2), (), y, twin.y + (b3,))
+    return labeling.reflect(params, lab) if mirrored else lab
 
 
 # --- small-group machinery: enumerate per-component patterns ----------------
@@ -424,31 +465,45 @@ def _decompose(
     triples: Sequence[Tuple[int, int, int]],
     blocks: int,
 ) -> Optional[List[Tuple[int, int, int]]]:
-    """Write target as a sum of exactly ``blocks`` triples from the menu."""
-    menu = sorted(triples)
-    failed = set()
+    """Write target as a sum of exactly ``blocks`` triples of a regular menu.
 
-    def rec(i: int, left: int, t: Tuple[int, int, int]):
-        if t == (0, 0, 0) and left == 0:
-            return []
-        if i == len(menu) or left == 0:
-            return None
-        key = (i, left, t)
-        if key in failed:
-            return None
-        tri = menu[i]
-        hi = left
-        for t_c, tri_c in zip(t, tri):
-            if tri_c:
-                hi = min(hi, t_c // tri_c)
-        for c in range(hi, -1, -1):
-            rest = rec(i + 1, left - c, tuple(v - c * w for v, w in zip(t, tri)))
-            if rest is not None:
-                return [tri] * c + rest
-        failed.add(key)
-        return None
-
-    return rec(0, blocks, tuple(target))
+    Every triple sums to n = |H|, and the uniform triples (n,0,0), (0,n,0),
+    (0,0,n) are always in the menu (a + C = C for a in H), so only the mixed
+    triples need a search.  It runs breadth-first by the number of mixed
+    blocks and keeps, per residue class (s1 mod n, s2 mod n), only the sums
+    that no kept sum lies below in every coordinate: the difference would be
+    uniform blocks.  The first sum s <= target with target - s = 0 (mod n)
+    is completed with uniform blocks.
+    """
+    n = sum(triples[0])
+    mixed = sorted(t for t in triples if n not in t)
+    parent: Dict[Tuple[int, int, int], Tuple] = {(0, 0, 0): ()}
+    kept: Dict[Tuple[int, int], List[Tuple[int, int, int]]] = {(0, 0): [(0, 0, 0)]}
+    frontier = [(0, 0, 0)]
+    for level in range(blocks + 1):
+        grown = []
+        for s in frontier:
+            if all((t - v) % n == 0 for t, v in zip(target, s)):
+                fx, fy, fz = ((t - v) // n for t, v in zip(target, s))
+                out = [(n, 0, 0)] * fx + [(0, n, 0)] * fy + [(0, 0, n)] * fz
+                while parent[s]:
+                    s, tri = parent[s]
+                    out.append(tri)
+                return out
+            if level == blocks:
+                continue
+            for tri in mixed:
+                nxt = (s[0] + tri[0], s[1] + tri[1], s[2] + tri[2])
+                if any(v > t for v, t in zip(nxt, target)):
+                    continue
+                cls = kept.setdefault((nxt[0] % n, nxt[1] % n), [])
+                if any(all(o <= v for o, v in zip(old, nxt)) for old in cls):
+                    continue
+                cls.append(nxt)
+                parent[nxt] = (s, tri)
+                grown.append(nxt)
+        frontier = grown
+    return None
 
 
 def _construct_by_blocks(params: GroupParams, shape: Shape, a: Element, b: Element) -> Optional[Labeling]:
@@ -473,15 +528,16 @@ def _construct_by_blocks(params: GroupParams, shape: Shape, a: Element, b: Eleme
 def _construct_by_models(params: GroupParams, shape: Shape) -> Labeling:
     """Decide the shape per canonical spine model, in the oracle's order.
 
-    Block menus decide every model except the independent pair at p >= 5,
-    whose spine menu grows too fast there; the oracle searches that model.
+    Block menus decide every model.  At p >= 5 only the cyclic models
+    (e1, m*e1) are walked: the independent pair's spine menu grows too fast
+    there, and the only shapes that reach this walk, the beta_neg corners
+    (beta < 2, or < 3, below alpha and gamma), were realized by a cyclic
+    model in every group checked.  ConstructionError guards the rest.
     """
     for a, b in oracle.canonical_models(params):
         if params.p >= 5 and b not in group.span(params, [a]):
-            budget = oracle.SearchBudget(node_limit=20_000_000)
-            lab = oracle.search(params, shape, budget, models=[(a, b)]).labeling
-        else:
-            lab = _construct_by_blocks(params, shape, a, b)
+            continue
+        lab = _construct_by_blocks(params, shape, a, b)
         if lab is not None:
             return lab
     raise ConstructionError(
@@ -508,14 +564,15 @@ def construct(params: GroupParams, shape: Shape) -> Labeling:
     if params.p in (2, 3):
         lab = small_p_patterns(params, shape)
     else:
-        try:
-            plan = plan_components(params, shape)
-            h = shape.h[::-1] if plan.reflected else shape.h
-            lab = _assemble_plan(params, h, plan)
-            if plan.reflected:
-                lab = labeling.reflect(params, lab)
-        except _NoRecipe:
-            lab = _construct_by_models(params, shape)
+        twin = empty_x_twin(params, shape)
+        if twin is not None:
+            twin_lab = _assemble_plan(params, twin, plan_components(params, twin))
+            lab = _from_twin(params, shape, twin_lab)
+        else:
+            try:
+                lab = _assemble_plan(params, shape, plan_components(params, shape))
+            except _NoRecipe:
+                lab = _construct_by_models(params, shape)
     report = labeling.verify(params, shape, lab)
     if not report.valid:
         raise ConstructionError(f"internal: construction failed verification: {report}")

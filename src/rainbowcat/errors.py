@@ -25,6 +25,10 @@ class UnsupportedInstanceError(RainbowError, ValueError):
     """Group too small to carry a three-spine caterpillar analysis."""
 
 
+class OrderLimitError(RainbowError, ValueError):
+    """Group order above oracle.MAX_ORDER, too large for the exhaustive search."""
+
+
 class InfeasibleShapeError(RainbowError):
     """construct() was called on a shape the feasibility predicate rejects."""
 

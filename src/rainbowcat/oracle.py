@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import group, labeling
+from .errors import OrderLimitError
 from .group import Element, GroupParams
 from .labeling import Labeling, Shape
 
@@ -24,6 +25,10 @@ class SearchBudget:
     timeout_ms: Optional[int] = None
     node_limit: Optional[int] = None
 
+
+# The search recurses once per free element and Python's default recursion
+# limit is 1000 frames, so groups above this order are refused.
+MAX_ORDER = 512
 
 FOUND = "found"
 INFEASIBLE = "infeasible"
@@ -63,6 +68,15 @@ def naive_models(params: GroupParams) -> List[Tuple[Element, Element]]:
                     continue
                 out.append((group.sub(params, a1, a2), group.sub(params, a3, a2)))
     return out
+
+
+def check_order(params: GroupParams) -> None:
+    """Raise OrderLimitError when the group is too large to search."""
+    if params.order > MAX_ORDER:
+        raise OrderLimitError(
+            f"Z_{params.p}^{params.k} has order {params.order}; the exhaustive "
+            f"search handles groups of order at most {MAX_ORDER}"
+        )
 
 
 class _Budget:
@@ -160,8 +174,11 @@ def search(
     symmetry: bool = True,
     models: Optional[Sequence[Tuple[Element, Element]]] = None,
 ) -> OracleVerdict:
-    """Decide realizability of the shape by exhaustive search over spine models."""
+    """Decide realizability of the shape by exhaustive search over spine models.
+
+    Raises OrderLimitError above MAX_ORDER."""
     labeling._check_shape(params, shape)
+    check_order(params)
     start = time.monotonic()
     state = _Budget(budget)
     if models is None:

@@ -58,6 +58,18 @@ class TestLabel:
         assert code == 0
         assert "spine" in err
 
+    def test_verbose_names_isomorphic_twin(self, capsys):
+        code, _, err = run(capsys, "label", "--p", "5", "--k", "2", "--hairs", "0,9,13", "--verbose")
+        assert code == 0
+        first, plan = err.strip().splitlines()
+        assert "isomorphic tree C(10, 12, 0)" in first
+        assert json.loads(plan)["spine"]["triple"] == [0, 2, 0]
+
+    def test_verbose_block_menus(self, capsys):
+        code, _, err = run(capsys, "label", "--p", "5", "--k", "2", "--hairs", "3,5,14", "--verbose")
+        assert code == 0
+        assert "block menus" in err
+
 
 class TestFeasible:
     def test_feasible(self, capsys):
@@ -98,6 +110,21 @@ class TestOracle:
         code, out, _ = run(capsys, "oracle", "--p", "2", "--k", "2", "--hairs", "0,1,0", "--no-symmetry")
         assert code == 0
 
+    def test_order_at_limit_searches(self, capsys):
+        # Z_2^9 has order 512 = MAX_ORDER; the all-Y shape is found on the
+        # first descent, 509 recursion levels deep
+        code, out, _ = run(capsys, "oracle", "--p", "2", "--k", "9", "--hairs", "0,509,0", "--node-limit", "600")
+        assert code == 0
+        assert out.startswith("found nodes=509")
+
+    def test_order_above_limit_exit_2(self, capsys):
+        code, out, err = run(
+            capsys, "oracle", "--p", "2", "--k", "10", "--hairs", "0,1,1020", "--node-limit", "5000"
+        )
+        assert code == 2
+        assert out == ""
+        assert "at most 512" in err
+
 
 class TestTable:
     def test_2_2(self, capsys):
@@ -116,6 +143,12 @@ class TestTable:
         code, out, _ = run(capsys, "table", "--p", "2", "--k", "2", "--cross-check", "--jobs", "2")
         assert code == 0
         assert len(out.strip().splitlines()) == 3
+
+    def test_order_above_limit_exit_2(self, capsys):
+        code, out, err = run(capsys, "table", "--p", "2", "--k", "10")
+        assert code == 2
+        assert out == ""
+        assert "at most 512" in err
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_exit_2(self, capsys, jobs):

@@ -220,9 +220,27 @@ class TestPlanning:
         assert set(d) == {"model", "generator", "reflected", "spine", "mixed", "uniform"}
 
 
+def _has_recipe(params, shape):
+    try:
+        constructor.plan_components(params, shape)
+    except constructor._NoRecipe:
+        return False
+    return True
+
+
+@pytest.fixture
+def no_search(monkeypatch):
+    """Make any oracle search fail the test: construct must not search."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("construct called oracle.search")
+
+    monkeypatch.setattr(oracle, "search", refuse)
+
+
 class TestConstruct:
-    @pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (5, 2), (7, 1)])
-    def test_soundness_all_feasible(self, p, k):
+    @pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (5, 2), (7, 1), (7, 2)])
+    def test_soundness_all_feasible(self, p, k, no_search):
         params = GroupParams(p, k)
         for shape in oracle.all_shapes(params):
             if constructor.feasibility(params, shape).feasible:
@@ -264,12 +282,43 @@ class TestConstruct:
 
     @pytest.mark.parametrize("h", [(117, 17, 152), (0, 16, 270)])
     def test_p17_corners(self, h):
-        # beta_neg and empty_x corners of Z_17^2: no recipe, so the block
-        # menus of the cyclic models decide them at any p
+        # beta_neg and empty_x corners of Z_17^2: no recipe of their own, so
+        # the block menus of the cyclic models and the isomorphic twin
+        # decide them at any p
         params = GroupParams(17, 2)
         shape = shp(17, 2, h)
         with pytest.raises(constructor._NoRecipe):
             constructor.plan_components(params, shape)
+        lab = constructor.construct(params, shape)
+        assert labeling.verify(params, shape, lab).valid
+
+    @pytest.mark.parametrize("p,k", [(11, 2), (13, 2), (5, 3)])
+    def test_every_recipe_less_shape(self, p, k, no_search):
+        params = GroupParams(p, k)
+        corners = [
+            s
+            for s in oracle.all_shapes(params)
+            if constructor.feasibility(params, s).feasible and not _has_recipe(params, s)
+        ]
+        assert corners
+        for shape in corners:
+            lab = constructor.construct(params, shape)
+            assert labeling.verify(params, shape, lab).valid, shape.h
+
+    @pytest.mark.parametrize(
+        "p,k,h",
+        [
+            (3, 6, (49, 74, 603)),
+            (3, 6, (548, 96, 82)),
+            (3, 6, (59, 519, 148)),
+            (7, 3, (117, 91, 132)),
+            (5, 3, (0, 79, 43)),
+        ],
+    )
+    def test_formerly_slow_shapes(self, p, k, h, no_search):
+        # each took seconds to a minute in a decomposition search or the oracle
+        params = GroupParams(p, k)
+        shape = shp(p, k, h)
         lab = constructor.construct(params, shape)
         assert labeling.verify(params, shape, lab).valid
 
@@ -318,3 +367,77 @@ class TestBlockMenus:
         cells = tuple(group.span(params, [a, b]))
         menu = constructor._component_patterns(params, a, b, cells, spine)
         assert menu == _brute_force_menu(params, a, b, spine)
+
+
+def _decompose_models():
+    for p, k in ((2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (7, 2)):
+        params = GroupParams(p, k)
+        for a, b in oracle.canonical_models(params):
+            if p >= 5 and b not in group.span(params, [a]):
+                continue
+            yield pytest.param(params, a, b, id=f"Z{p}^{k}-a{''.join(map(str, a))}-b{''.join(map(str, b))}")
+
+
+class TestDecompose:
+    @pytest.mark.parametrize("params,a,b", list(_decompose_models()))
+    def test_matches_brute_force(self, params, a, b):
+        comps = group.cosets(params, [a, b])
+        menu = constructor._component_patterns(params, a, b, tuple(comps[0]), False)
+        blocks, n = len(comps) - 1, len(comps[0])
+        reachable = {
+            tuple(map(sum, zip((0, 0, 0), *combo)))
+            for combo in itertools.combinations_with_replacement(sorted(menu), blocks)
+        }
+        total = blocks * n
+        for t1 in range(total + 1):
+            for t2 in range(total - t1 + 1):
+                target = (t1, t2, total - t1 - t2)
+                found = constructor._decompose(target, list(menu), blocks)
+                assert (found is not None) == (target in reachable), target
+                if found is not None:
+                    assert len(found) == blocks and all(t in menu for t in found)
+                    assert tuple(map(sum, zip((0, 0, 0), *found))) == target
+
+
+_ISOMORPHISM_GROUPS = [(2, k) for k in range(2, 7)] + [(3, k) for k in range(2, 5)] + [
+    (5, 2),
+    (7, 2),
+    (11, 2),
+    (13, 2),
+    (5, 3),
+]
+
+
+def _isomorphic_pairs(params):
+    """C(0,h2,h3) ~ C(h2+1,h3-1,0) and the mirror C(h3,h2,0) ~ C(0,h3-1,h2+1)
+    for every h3 >= 1: the same tree, so the same verdict."""
+    total = params.order - 3
+    for h3 in range(1, total + 1):
+        h2 = total - h3
+        yield (0, h2, h3), (h2 + 1, h3 - 1, 0)
+        yield (h3, h2, 0), (0, h3 - 1, h2 + 1)
+
+
+class TestIsomorphism:
+    @pytest.mark.parametrize("p,k", _ISOMORPHISM_GROUPS)
+    def test_predicate_agrees_across_isomorphism(self, p, k):
+        params = GroupParams(p, k)
+        for h, twin in _isomorphic_pairs(params):
+            assert (
+                constructor.feasibility(params, shp(p, k, h)).feasible
+                == constructor.feasibility(params, shp(p, k, twin)).feasible
+            ), (h, twin)
+
+    def test_oracle_agrees_across_isomorphism(self):
+        params = GroupParams(5, 2)
+        for h, twin in _isomorphic_pairs(params):
+            assert (
+                oracle.search(params, shp(5, 2, h)).outcome
+                == oracle.search(params, shp(5, 2, twin)).outcome
+            ), (h, twin)
+
+    def test_empty_x_twin(self):
+        params = GroupParams(5, 2)
+        assert constructor.empty_x_twin(params, shp(5, 2, (0, 9, 13))).h == (10, 12, 0)
+        assert constructor.empty_x_twin(params, shp(5, 2, (13, 9, 0))).h == (0, 12, 10)
+        assert constructor.empty_x_twin(params, shp(5, 2, (5, 4, 13))) is None
