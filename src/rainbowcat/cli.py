@@ -15,7 +15,6 @@ Data goes to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import contextlib
 import json
 import os
@@ -147,6 +146,8 @@ def cmd_table(args) -> int:
     disagreement = False
     with contextlib.ExitStack() as stack:
         if workers > 1:
+            import concurrent.futures  # only a parallel table needs it
+
             pool = stack.enter_context(
                 concurrent.futures.ProcessPoolExecutor(max_workers=workers)
             )

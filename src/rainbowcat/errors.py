@@ -17,10 +17,6 @@ class PartitionShapeMismatchError(RainbowError, ValueError):
     """Role-class sizes of a partition disagree with the requested shape."""
 
 
-class ModelMismatchError(RainbowError, ValueError):
-    """Partition spine roles are not placed at the elements a, 0, b of the model."""
-
-
 class UnsupportedInstanceError(RainbowError, ValueError):
     """Group too small to carry a three-spine caterpillar analysis."""
 

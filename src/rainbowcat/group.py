@@ -154,31 +154,6 @@ def cosets(params: GroupParams, gens: Sequence[Element]) -> list:
     return out
 
 
-def matrix_is_invertible(M: Sequence[Sequence[int]], p: int) -> bool:
-    """Invertibility of a k x k integer matrix mod p (Gaussian elimination)."""
-    k = len(M)
-    rows = [[c % p for c in row] for row in M]
-    if any(len(row) != k for row in rows):
-        return False
-    for col in range(k):
-        pivot = next((r for r in range(col, k) if rows[r][col] % p != 0), None)
-        if pivot is None:
-            return False
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = pow(rows[col][col], p - 2, p) if p > 2 else rows[col][col]
-        rows[col] = [(c * inv) % p for c in rows[col]]
-        for r in range(k):
-            if r != col and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[col])]
-    return True
-
-
-def apply_matrix(params: GroupParams, M: Sequence[Sequence[int]], e: Element) -> Element:
-    params.validate(e)
-    return tuple(sum(M[i][j] * e[j] for j in range(params.k)) % params.p for i in range(params.k))
-
-
 def basis_vector(params: GroupParams, i: int) -> Element:
     return tuple(1 if j == i else 0 for j in range(params.k))
 

@@ -1,6 +1,5 @@
 """Caterpillar data model: shapes, labelings, role partitions, the verifier,
-the edge-label bit table, the forbidden-assignment checker, and the symmetry
-transforms.
+the edge-label bit table, reflection, and the JSON schema.
 
 The caterpillar C(h1,h2,h3) has three spine vertices carrying h1, h2, h3
 pendant hairs; its order equals the group order p^k.  A labeling assigns a
@@ -16,12 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import group
-from .errors import (
-    InvalidShapeError,
-    ModelMismatchError,
-    PartitionShapeMismatchError,
-    RainbowError,
-)
+from .errors import InvalidShapeError, PartitionShapeMismatchError, RainbowError
 from .group import Element, GroupParams
 
 # Role tags for partition maps.
@@ -224,68 +218,10 @@ def role_label_bits(
     return (1 << idx(a)) | (1 << idx(b)), table
 
 
-Violation = Tuple[str, Element]
-
-
-def check_forbidden(params: GroupParams, model: Tuple[Element, Element], part: Partition) -> List[Violation]:
-    """Forbidden assignments in the model [a,0,b].
-
-    Violations: X at b-a; Z at a-b; X at u with Y at u+a; Z at u with Y at u+b;
-    Z at u with X at u+(b-a).  Empty result is equivalent to verifier validity
-    for a full role assignment.
-    """
-    a, b = model
-    if part.get(a) != S1 or part.get(params.zero) != S2 or part.get(b) != S3:
-        raise ModelMismatchError("spine roles must sit at a, 0, b")
-
-    b_minus_a = group.sub(params, b, a)
-    out: List[Violation] = []
-    if part.get(b_minus_a) == X:
-        out.append(("x=b-a", b_minus_a))
-    a_minus_b = group.sub(params, a, b)
-    if part.get(a_minus_b) == Z:
-        out.append(("z=a-b", a_minus_b))
-    for u in sorted(part):
-        role = part[u]
-        if role == X and part.get(group.add(params, u, a)) == Y:
-            out.append(("x->a->y", u))
-        elif role == Z:
-            if part.get(group.add(params, u, b)) == Y:
-                out.append(("z->b->y", u))
-            if part.get(group.add(params, u, b_minus_a)) == X:
-                out.append(("z->(b-a)->x", u))
-    return out
-
-
-def translate(params: GroupParams, lab: Labeling, c: Element) -> Labeling:
-    """Shift every vertex label by c; validity is preserved."""
-    params.validate(c)
-    sh = lambda e: group.add(params, e, c)
-    return make_labeling(
-        tuple(sh(e) for e in lab.spine),
-        (sh(e) for e in lab.x),
-        (sh(e) for e in lab.y),
-        (sh(e) for e in lab.z),
-    )
-
-
 def reflect(params: GroupParams, lab: Labeling) -> Labeling:
     """Reverse the spine: swap a1<->a3 and the X/Z hair sets."""
     a1, a2, a3 = lab.spine
     return make_labeling((a3, a2, a1), lab.z, lab.y, lab.x)
-
-
-def apply_automorphism(params: GroupParams, lab: Labeling, M: Sequence[Sequence[int]]) -> Labeling:
-    """Apply an invertible k x k matrix mod p to every label."""
-    if not group.matrix_is_invertible(M, params.p):
-        raise ValueError("matrix is singular mod p")
-    f = lambda e: group.apply_matrix(params, M, e)
-    return make_labeling(
-        tuple(f(e) for e in lab.spine),
-        (f(e) for e in lab.x),
-        (f(e) for e in lab.y),
-        (f(e) for e in lab.z),
-    )
 
 
 # --- JSON schema (bit-exact CLI contract) ---------------------------------

@@ -3,16 +3,20 @@
 For a fixed spine model [a,0,b] every free element takes one of the roles
 x/y/z.  Role x at v puts a+v on an edge, y puts v, z puts b+v; the two spine
 edges put a and b.  A labeling is valid iff all these edge labels are
-distinct, so the search keeps a bitmask of consumed labels plus remaining
-role quotas and assigns the most constrained element first.  Translation plus
-group automorphisms reduce the spine models to a canonical family.
+distinct.  The search state is one bitset of unassigned cells and, per role,
+a bitset of the cells where that role would reuse a consumed label; giving a
+cell a role consumes one label and so blocks at most one cell per role.  A
+few integer operations per node find the legal cells of each role, prune
+against the remaining role quotas, and pick the most constrained cell, ties
+to the lowest canonical index.  Translation plus group automorphisms reduce
+the spine models to a canonical family.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import group, labeling
 from .errors import OrderLimitError
@@ -111,58 +115,65 @@ def _search_model(
 ) -> Optional[Dict[Element, str]]:
     """Backtracking over one model; returns a full role partition or None.
 
-    None means exhausted unless budget.exhausted was set.  Variable order is
-    most-constrained-first with canonical-order ties; roles are tried x,y,z.
+    None means exhausted unless budget.exhausted was set.  The state is four
+    bitsets over group indices: U, the unassigned free cells, and bx, by, bz,
+    the cells where role x, y or z would reuse a consumed edge label.  A node
+    fails when some cell has no legal role or some role has fewer legal cells
+    than its quota.  Otherwise it branches on the cell with the fewest legal
+    roles, ties to the lowest canonical index, and tries roles x, y, z.
     """
     zero = params.zero
     free: List[Element] = [v for v in group.elements(params) if v not in (zero, a, b)]
     consumed, lab_bit = labeling.role_label_bits(params, a, b, free)
     if consumed.bit_count() != 2:
         return None  # degenerate model (a == b)
+    idx = params.index
+    # blocks[L][r]: the cells where role r would put label L on an edge
+    blocks = [[0, 0, 0] for _ in range(params.order)]
+    for v in free:
+        for r, bit in enumerate(lab_bit[v]):
+            blocks[bit.bit_length() - 1][r] |= 1 << idx(v)
+    # moves[i][r]: what role r at cell i adds to (bx, by, bz)
+    moves = {
+        idx(v): tuple(tuple(blocks[bit.bit_length() - 1]) for bit in lab_bit[v])
+        for v in free
+    }
+    bx, by, bz = (blocks[idx(a)][r] | blocks[idx(b)][r] for r in range(3))
     quotas = list(shape.h)
-    assigned: Dict[Element, int] = {}
-    unassigned = list(free)
+    role_of = [0] * params.order
 
-    def backtrack(consumed: int) -> bool:
-        if not unassigned:
+    def backtrack(U: int, bx: int, by: int, bz: int) -> bool:
+        if not U:
             return True
-        # MRV scan; also fail if some needed role has no remaining home.
-        best_v = None
-        best_roles: Tuple[int, ...] = ()
-        role_homes = [0, 0, 0]
-        for v in unassigned:
-            bits = lab_bit[v]
-            legal = tuple(
-                r for r in range(3) if quotas[r] > 0 and not (consumed & bits[r])
-            )
-            if not legal:
-                return False
-            for r in legal:
-                role_homes[r] += 1
-            if best_v is None or len(legal) < len(best_roles):
-                best_v, best_roles = v, legal
-        for r in range(3):
-            if quotas[r] > 0 and role_homes[r] < quotas[r]:
-                return False
-
-        unassigned.remove(best_v)
-        bits = lab_bit[best_v]
-        for r in best_roles:
+        qx, qy, qz = quotas
+        A = U & ~bx if qx else 0
+        B = U & ~by if qy else 0
+        C = U & ~bz if qz else 0
+        if (A | B | C) != U or A.bit_count() < qx or B.bit_count() < qy or C.bit_count() < qz:
+            return False
+        two = (A & B) | (A & C) | (B & C)
+        # cells with one legal role, else two, else three
+        pick = U & ~two or two & ~(A & B & C) or U
+        low = pick & -pick
+        i = low.bit_length() - 1
+        rest = U ^ low
+        for r, legal in enumerate((A, B, C)):
+            if not legal & low:
+                continue
             if budget.tick():
                 break
             quotas[r] -= 1
-            assigned[best_v] = r
-            if backtrack(consumed | bits[r]):
+            role_of[i] = r
+            x, y, z = moves[i][r]
+            if backtrack(rest, bx | x, by | y, bz | z):
                 return True
             quotas[r] += 1
-            del assigned[best_v]
-        unassigned.append(best_v)
         return False
 
-    if backtrack(consumed):
+    if backtrack(sum(1 << idx(v) for v in free), bx, by, bz):
         part: Dict[Element, str] = {a: labeling.S1, zero: labeling.S2, b: labeling.S3}
-        for v, r in assigned.items():
-            part[v] = labeling.HAIR_ROLES[r]
+        for v in free:
+            part[v] = labeling.HAIR_ROLES[role_of[idx(v)]]
         return part
     return None
 
@@ -228,16 +239,6 @@ def table_row(
     row["nodes"] = oracle_verdict.nodes
     row["ms"] = round(oracle_verdict.elapsed_ms, 3)
     return row
-
-
-def enumerate_table(
-    params: GroupParams,
-    budget_per_shape: Optional[SearchBudget] = None,
-    cross_check: bool = True,
-) -> Iterable[dict]:
-    """Feasibility table rows (JSON-lines schema), one per shape."""
-    for shape in all_shapes(params):
-        yield table_row(params, shape, budget_per_shape, cross_check)
 
 
 def _ms(start: float) -> float:

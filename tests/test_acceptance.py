@@ -1,4 +1,4 @@
-"""Acceptance suite: nine end-to-end criteria, one test (and one pass/fail
+"""Acceptance suite: eleven end-to-end criteria, one test (and one pass/fail
 line under pytest -v) each.  Runtime bounds are asserted where stated."""
 
 import itertools
@@ -10,11 +10,27 @@ import pytest
 from rainbowcat import constructor, group, labeling, oracle
 from rainbowcat.group import GroupParams
 from rainbowcat.labeling import HAIR_ROLES, S1, S2, S3, X, Y, Z
+from testkit import apply_automorphism, check_forbidden, enumerate_table, matrix_is_invertible, translate
 
 
 def _full_table(p, k):
     params = GroupParams(p, k)
-    return params, list(oracle.enumerate_table(params))
+    return params, list(enumerate_table(params))
+
+
+def _checked_table(p, k, monkeypatch):
+    """Full table of Z_p^k; every labeling the oracle finds must verify."""
+    params = GroupParams(p, k)
+    search = oracle.search
+
+    def verified_search(params, shape, budget=None):
+        verdict = search(params, shape, budget)
+        if verdict.outcome == oracle.FOUND:
+            assert labeling.verify(params, shape, verdict.labeling).valid, shape.h
+        return verdict
+
+    monkeypatch.setattr(oracle, "search", verified_search)
+    return params, list(enumerate_table(params))
 
 
 def _constructed_pool(pairs):
@@ -107,7 +123,7 @@ def test_criterion_5_fa_equivalence_exhaustive_3_2():
             counts = (roles.count(X), roles.count(Y), roles.count(Z))
             shape = labeling.make_shape(params, counts)
             lab = labeling.partition_to_labeling(params, shape, part)
-            fa_clean = labeling.check_forbidden(params, (a, b), part) == []
+            fa_clean = check_forbidden(params, (a, b), part) == []
             assert fa_clean == labeling.verify(params, shape, lab).valid, (a, b, roles)
     assert time.monotonic() - start < 60.0
 
@@ -146,7 +162,7 @@ def test_criterion_7_invariance_1000_trials():
     for _ in range(1000):
         params, shape, lab = rng.choice(pool)
         c = rng.choice(group.elements(params))
-        assert labeling.verify(params, shape, labeling.translate(params, lab, c)).valid
+        assert labeling.verify(params, shape, translate(params, lab, c)).valid
     for _ in range(1000):
         params, shape, lab = rng.choice(pool)
         mirror = labeling.make_shape(params, shape.h[::-1])
@@ -158,9 +174,9 @@ def test_criterion_7_invariance_1000_trials():
                 [rng.randrange(params.p) for _ in range(params.k)]
                 for _ in range(params.k)
             ]
-            if group.matrix_is_invertible(M, params.p):
+            if matrix_is_invertible(M, params.p):
                 break
-        assert labeling.verify(params, shape, labeling.apply_automorphism(params, lab, M)).valid
+        assert labeling.verify(params, shape, apply_automorphism(params, lab, M)).valid
 
 
 def test_criterion_8_missing_label_closed_form():
@@ -182,4 +198,33 @@ def test_criterion_9_symmetry_breaking_validation():
             canonical = oracle.search(params, shape, symmetry=True)
             naive = oracle.search(params, shape, symmetry=False)
             assert canonical.outcome == naive.outcome, shape.h
+    assert time.monotonic() - start < 300.0
+
+
+def test_criterion_10_full_table_agreement_2_4(monkeypatch):
+    start = time.monotonic()
+    params, rows = _checked_table(2, 4, monkeypatch)
+    assert len(rows) == 105
+    assert all(r["agree"] is True for r in rows)
+    for r in rows:
+        assert r["oracle"] in (oracle.FOUND, oracle.INFEASIBLE)
+        if r["oracle"] == oracle.INFEASIBLE:
+            assert r["predicate"] == "infeasible:P2_parity", r["h"]
+    assert time.monotonic() - start < 60.0
+
+
+def test_criterion_11_full_table_agreement_5_2(monkeypatch):
+    start = time.monotonic()
+    params, rows = _checked_table(5, 2, monkeypatch)
+    assert len(rows) == 276
+    assert all(r["agree"] is True for r in rows)
+    infeasible = [r for r in rows if r["oracle"] == oracle.INFEASIBLE]
+    assert len(infeasible) == 36
+    assert len(rows) - len(infeasible) == sum(r["oracle"] == oracle.FOUND for r in rows)
+    for r in infeasible:
+        assert r["predicate"] in (
+            "infeasible:E1_beta_pm2",
+            "infeasible:E2_Y0",
+            "infeasible:E3_Y1",
+        ), r["h"]
     assert time.monotonic() - start < 300.0

@@ -1,5 +1,6 @@
 """CLI exit codes, output formats, and round trips."""
 
+import concurrent.futures
 import json
 
 import pytest
@@ -175,7 +176,7 @@ class TestTable:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         code, out, _ = run(capsys, "table", "--p", "2", "--k", "2", "--cross-check", "--jobs", jobs)
         assert code == 0

@@ -21,6 +21,7 @@ from rainbowcat.errors import (
 )
 from rainbowcat.group import GroupParams
 from rainbowcat.labeling import S1, S2, S3, X, Y, Z
+from testkit import check_forbidden
 
 
 def shp(p, k, h):
@@ -78,7 +79,7 @@ def _fa_check_pattern(p, pattern, a_scalar, b_scalar, spine=True):
             assert part[{"s1": a, "s2": params.zero, "s3": b}[role]] == role
         else:
             part[v] = role
-    return labeling.check_forbidden(params, (a, b), part)
+    return check_forbidden(params, (a, b), part)
 
 
 class TestRealizers:
@@ -331,7 +332,7 @@ class TestConstruct:
 
 def _brute_force_menu(params, a, b, spine):
     """Lex-first clean assignment per role-count triple, by trying every role
-    tuple against labeling.check_forbidden.  The regular component is placed
+    tuple against check_forbidden.  The regular component is placed
     on the coset e_{k+1} + <a,b> of Z_p^(k+1), away from the spine."""
     cells = group.span(params, [a, b])
     if spine:
@@ -346,7 +347,7 @@ def _brute_force_menu(params, a, b, spine):
         part = {a: S1, host.zero: S2, b: S3}
         for c, role in zip(free, roles):
             part[place(c)] = role
-        if not labeling.check_forbidden(host, (a, b), part):
+        if not check_forbidden(host, (a, b), part):
             triple = (roles.count(X), roles.count(Y), roles.count(Z))
             menu.setdefault(triple, dict(zip(free, roles)))
     return menu

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from rainbowcat import group
 from rainbowcat.errors import InvalidElementError
 from rainbowcat.group import GroupParams
+from testkit import apply_matrix, matrix_is_invertible
 
 PARAMS = [GroupParams(2, 2), GroupParams(2, 3), GroupParams(3, 2), GroupParams(5, 1)]
 
@@ -177,13 +178,13 @@ class TestCosets:
 
 class TestMatrices:
     def test_invertibility(self):
-        assert group.matrix_is_invertible([[1, 0], [0, 1]], 3)
-        assert not group.matrix_is_invertible([[1, 2], [2, 4]], 3)
-        assert group.matrix_is_invertible([[0, 1], [1, 0]], 2)
+        assert matrix_is_invertible([[1, 0], [0, 1]], 3)
+        assert not matrix_is_invertible([[1, 2], [2, 4]], 3)
+        assert matrix_is_invertible([[0, 1], [1, 0]], 2)
 
     def test_apply_matrix(self):
         prm = GroupParams(3, 2)
-        assert group.apply_matrix(prm, [[0, 1], [1, 0]], (1, 2)) == (2, 1)
+        assert apply_matrix(prm, [[0, 1], [1, 0]], (1, 2)) == (2, 1)
 
 
 class TestJson:

