@@ -3,6 +3,9 @@
 Exit codes are the machine contract:
 
 * label / feasible: 0 feasible, 1 infeasible, 2 usage error
+* label: 2 for a feasible shape over a group of order above
+  constructor.MAX_ORDER = 2**20, which construct refuses rather than exhaust
+  memory; feasible answers at any size (closed form)
 * oracle: 0 found, 1 exhausted-infeasible, 3 budgeted-unknown
 * table: with --cross-check, nonzero iff some row disagrees
 * oracle / table: 2 for groups of order above oracle.MAX_ORDER = 512, which
@@ -82,13 +85,10 @@ def cmd_label(args) -> int:
         return 1
     if args.verbose and params.p >= 5:
         twin = constructor.empty_x_twin(params, shape)
-        try:
-            plan = constructor.plan_components(params, twin or shape)
-            if twin:
-                print(f"empty-X corner; built as the isomorphic tree C{twin.h}", file=sys.stderr)
-            print(json.dumps(plan.to_debug_dict()), file=sys.stderr)
-        except constructor._NoRecipe as exc:
-            print(f"no explicit recipe ({exc}); block menus per cyclic spine model", file=sys.stderr)
+        if twin:
+            print(f"empty-X corner; built as the isomorphic tree C{twin.h}", file=sys.stderr)
+        plan = constructor.plan_components(params, twin or shape)
+        print(json.dumps(plan.to_debug_dict()), file=sys.stderr)
     if args.format == "json":
         print(json.dumps(labeling.labeling_to_dict(params, shape, lab)))
     elif args.format == "dot":
@@ -113,7 +113,7 @@ def cmd_feasible(args) -> int:
 def cmd_oracle(args) -> int:
     params, shape = _parse_instance(args.p, args.k, args.hairs)
     budget = oracle.SearchBudget(timeout_ms=args.timeout_ms, node_limit=args.node_limit)
-    verdict = oracle.search(params, shape, budget, symmetry=not args.no_symmetry)
+    verdict = oracle.search(params, shape, budget)
     print(f"{verdict.outcome} nodes={verdict.nodes} ms={verdict.elapsed_ms:.1f}")
     if verdict.outcome == oracle.FOUND:
         return 0
@@ -221,11 +221,6 @@ def _build_parser() -> argparse.ArgumentParser:
     instance_flags(sp)
     sp.add_argument("--timeout-ms", type=int, default=None)
     sp.add_argument("--node-limit", type=int, default=None)
-    sp.add_argument(
-        "--no-symmetry",
-        action="store_true",
-        help="search all translated spine triples instead of canonical models",
-    )
     sp.set_defaults(func=cmd_oracle)
 
     sp = sub.add_parser("table", help="feasibility table as JSON lines")

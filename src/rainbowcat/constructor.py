@@ -11,14 +11,15 @@ assembler; nothing in it searches over labelings.  The patterns come from:
 * residue sum 3p-3: the (p-1,p-1,p-1) identity in the model [a,0,-a];
 * the empty-X corner, residues (0, p-1, p-2) with h1 = 0: C(0,h2,h3) is the
   same tree as C(h2+1, h3-1, 0), whose residues (0, p-3, 0) take the first
-  recipe; its labeling maps back (empty_x_twin; the mirror likewise);
-* otherwise (all of p in {2,3}, and the corners the recipes miss: residue
-  beta in {0,1} with a large Y class), one walk over the oracle's canonical
-  spine models (at p >= 5 the cyclic ones only).  Each model is decided by
-  per-coset pattern menus, found by a depth-first search on the shared
-  edge-label bits (labeling.role_label_bits), and a decomposition of the
-  hair counts into menu triples that searches breadth-first by residue class
-  (_decompose).
+  recipe; its labeling maps back (empty_x_twin; the mirror likewise).
+
+So at p >= 5 every feasible shape takes a recipe or the empty-X twin.  Only
+p in {2,3} walks the oracle's canonical spine models (small_p_patterns).
+Each model is decided by per-coset pattern menus, found by a depth-first
+search on the shared edge-label bits (labeling.role_label_bits), and a
+decomposition of the hair counts into menu triples that searches
+breadth-first by residue class (_decompose).  construct refuses groups of
+order above MAX_ORDER, after the closed-form verdict.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from . import group, labeling, oracle
 from .errors import (
     ConstructionError,
     InfeasibleShapeError,
+    OrderLimitError,
     UnsupportedInstanceError,
 )
 from .group import Element, GroupParams
@@ -42,6 +44,10 @@ E3_Y1 = "E3_Y1"
 P3_E1 = "P3_E1"
 P3_E2 = "P3_E2"
 P2_PARITY = "P2_parity"
+
+# construct lists every element and coset, so it refuses larger groups
+# rather than exhaust memory; Z_1009^2 (order 1,018,081) still fits.
+MAX_ORDER = 2**20
 
 
 @dataclass(frozen=True)
@@ -191,10 +197,6 @@ def pattern_counts(pat: Sequence[str]) -> Tuple[int, int, int]:
     return (pat.count(X), pat.count(Y), pat.count(Z))
 
 
-class _NoRecipe(Exception):
-    """Internal: the explicit case machinery does not cover this shape."""
-
-
 @dataclass(frozen=True)
 class ComponentPlan:
     """Blueprint for assembling a labeling out of per-component patterns."""
@@ -239,11 +241,11 @@ def _finish_plan(params, h, a_prime, b_prime, spine, mixed, reflected) -> Compon
     for role, total, want in zip(HAIR_ROLES, totals, h):
         rem = want - total
         if rem < 0 or rem % p:
-            raise _NoRecipe(f"plan totals {totals} cannot be filled to {h}")
+            raise ConstructionError(f"plan totals {totals} cannot be filled to {h}")
         uniform[role] = rem // p
     n_regular = params.order // p - 1
     if len(mixed) + sum(uniform.values()) != n_regular:
-        raise _NoRecipe("component count mismatch")
+        raise ConstructionError("component count mismatch")
     e1 = group.basis_vector(params, 0)
     model = (group.scale(params, a_prime, e1), group.scale(params, b_prime, e1))
     return ComponentPlan(model, e1, tuple(spine), tuple(mixed), uniform, reflected)
@@ -252,8 +254,8 @@ def _finish_plan(params, h, a_prime, b_prime, spine, mixed, reflected) -> Compon
 def plan_components(params: GroupParams, shape: Shape) -> ComponentPlan:
     """Select model and per-component triples for a feasible shape, p >= 5.
 
-    Raises _NoRecipe when the explicit case machinery does not apply (the
-    caller then builds the empty_x_twin, or walks the cyclic spine models).
+    Raises ConstructionError for the empty-X corner, which construct builds
+    as its empty_x_twin.
     """
     p = params.p
     h = shape.h
@@ -310,13 +312,27 @@ def _plan_skew(params, h, a, b, g, reflected) -> ComponentPlan:
                 realize_regular_skew(p, (p - 3) // 2),
             ]
             return _finish_plan(params, h, 1, 2, spine, mixed, reflected)
-        raise _NoRecipe("(0,p-1,p-2) with empty X class")
-    raise _NoRecipe(f"skew case gap at residues ({a},{b},{g})")
+        raise ConstructionError("(0,p-1,p-2) with empty X class")
+    raise ConstructionError(f"skew case gap at residues ({a},{b},{g})")
 
 
 def _plan_general(params, h, a, b, g) -> ComponentPlan:
-    """Model [a,0,b] parity decomposition (beta < alpha and beta < gamma)."""
+    """Model [a,0,b] parity decomposition (beta < alpha and beta < gamma).
+
+    beta <= 1 is the beta_neg family (p-3,1,p-1), (p-2,0,p-1) and mirrors,
+    whose parity split would need beta' < 0; after reflecting to gamma = p-1
+    it takes the model [a,0,2a] with two mixed cycles, realizing
+    (p-2-beta, p+beta, p-1).  The Y class holds at least p+beta hairs
+    because h2 = beta is infeasible (E2_Y0, E3_Y1).
+    """
     p = params.p
+    if b <= 1:
+        reflected = g < a
+        if reflected:
+            h = h[::-1]
+        spine = realize_spine_skew(p, 1 - b, (p - 5) // 2, 1 + b)
+        mixed = [realize_regular_skew(p, (p - 1) // 2), realize_regular_skew(p, 2)]
+        return _finish_plan(params, h, 1, 2, spine, mixed, reflected)
     reflected = False
     if a < g:
         a, g, h, reflected = g, a, h[::-1], True
@@ -324,18 +340,12 @@ def _plan_general(params, h, a, b, g) -> ComponentPlan:
         ap_, bp_, gp_ = (a - 1) // 2, (b - 1) // 2, (g - 1) // 2
         variant = "base"
     elif g % 2:
-        if b < 2:
-            raise _NoRecipe("beta' would be negative")
         ap_, bp_, gp_ = a // 2, (b - 2) // 2, (g - 1) // 2
         variant = "plus_y"
     elif a % 2:
-        if b < 2:
-            raise _NoRecipe("beta' would be negative")
         ap_, bp_, gp_ = (a + 1) // 2, (b - 2) // 2, (g - 2) // 2
         variant = "swap_z"
     else:
-        if b < 3:
-            raise _NoRecipe("beta' would be negative")
         ap_, bp_, gp_ = a // 2, (b - 3) // 2, g // 2
         variant = "double_y"
     a_prime, b_prime = gp_ + 1, p - 1 - ap_
@@ -343,7 +353,7 @@ def _plan_general(params, h, a, b, g) -> ComponentPlan:
         spine = realize_spine_general(p, a_prime, b_prime, variant)
         mixed = [realize_regular_general(p, a_prime, b_prime)]
     except ValueError as exc:
-        raise _NoRecipe(str(exc))
+        raise ConstructionError(str(exc))
     return _finish_plan(params, h, a_prime, b_prime, spine, mixed, reflected)
 
 
@@ -525,18 +535,15 @@ def _construct_by_blocks(params: GroupParams, shape: Shape, a: Element, b: Eleme
     return None
 
 
-def _construct_by_models(params: GroupParams, shape: Shape) -> Labeling:
-    """Decide the shape per canonical spine model, in the oracle's order.
-
-    Block menus decide every model.  At p >= 5 only the cyclic models
-    (e1, m*e1) are walked: the independent pair's spine menu grows too fast
-    there, and the only shapes that reach this walk, the beta_neg corners
-    (beta < 2, or < 3, below alpha and gamma), were realized by a cyclic
-    model in every group checked.  ConstructionError guards the rest.
-    """
+def small_p_patterns(params: GroupParams, shape: Shape) -> Labeling:
+    """Constructions for p in {2,3}: block menus on each canonical spine
+    model, in the oracle's order."""
+    if params.p not in (2, 3):
+        raise UnsupportedInstanceError("small_p_patterns handles p in {2,3} only")
+    verdict = feasibility(params, shape)
+    if not verdict.feasible:
+        raise InfeasibleShapeError(verdict)
     for a, b in oracle.canonical_models(params):
-        if params.p >= 5 and b not in group.span(params, [a]):
-            continue
         lab = _construct_by_blocks(params, shape, a, b)
         if lab is not None:
             return lab
@@ -546,21 +553,19 @@ def _construct_by_models(params: GroupParams, shape: Shape) -> Labeling:
     )
 
 
-def small_p_patterns(params: GroupParams, shape: Shape) -> Labeling:
-    """Constructions for p in {2,3}: block menus on the canonical models."""
-    if params.p not in (2, 3):
-        raise UnsupportedInstanceError("small_p_patterns handles p in {2,3} only")
-    verdict = feasibility(params, shape)
-    if not verdict.feasible:
-        raise InfeasibleShapeError(verdict)
-    return _construct_by_models(params, shape)
-
-
 def construct(params: GroupParams, shape: Shape) -> Labeling:
-    """Produce a verified labeling for any feasible shape (deterministic)."""
+    """Produce a verified labeling for any feasible shape (deterministic).
+
+    Raises OrderLimitError for a feasible shape over a group of order above
+    MAX_ORDER."""
     verdict = feasibility(params, shape)
     if not verdict.feasible:
         raise InfeasibleShapeError(verdict)
+    if params.order > MAX_ORDER:
+        raise OrderLimitError(
+            f"Z_{params.p}^{params.k} has order {params.order}; construct "
+            f"handles groups of order at most {MAX_ORDER}"
+        )
     if params.p in (2, 3):
         lab = small_p_patterns(params, shape)
     else:
@@ -569,10 +574,7 @@ def construct(params: GroupParams, shape: Shape) -> Labeling:
             twin_lab = _assemble_plan(params, twin, plan_components(params, twin))
             lab = _from_twin(params, shape, twin_lab)
         else:
-            try:
-                lab = _assemble_plan(params, shape, plan_components(params, shape))
-            except _NoRecipe:
-                lab = _construct_by_models(params, shape)
+            lab = _assemble_plan(params, shape, plan_components(params, shape))
     report = labeling.verify(params, shape, lab)
     if not report.valid:
         raise ConstructionError(f"internal: construction failed verification: {report}")

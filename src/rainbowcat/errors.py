@@ -22,7 +22,8 @@ class UnsupportedInstanceError(RainbowError, ValueError):
 
 
 class OrderLimitError(RainbowError, ValueError):
-    """Group order above oracle.MAX_ORDER, too large for the exhaustive search."""
+    """Group order too large: above oracle.MAX_ORDER for the exhaustive search,
+    or above constructor.MAX_ORDER for a construction."""
 
 
 class InfeasibleShapeError(RainbowError):
@@ -34,6 +35,8 @@ class InfeasibleShapeError(RainbowError):
 
 
 class ConstructionError(RainbowError):
-    """No recipe and no canonical spine model produced a labeling (should not
-    happen on predicate-feasible shapes; raised instead of returning garbage)."""
+    """No labeling was produced: at p >= 5 no recipe or empty-X twin covers the
+    shape, at p in {2,3} no canonical spine model realizes it, or the result
+    failed verification.  Should not happen on predicate-feasible shapes; it
+    is raised instead of returning garbage."""
 

@@ -58,22 +58,6 @@ def canonical_models(params: GroupParams) -> List[Tuple[Element, Element]]:
     return models
 
 
-def naive_models(params: GroupParams) -> List[Tuple[Element, Element]]:
-    """Translated forms (a1-a2, a3-a2) of every distinct spine triple.
-    Used only to validate the canonical reduction."""
-    out = []
-    elems = group.elements(params)
-    for a1 in elems:
-        for a2 in elems:
-            if a2 == a1:
-                continue
-            for a3 in elems:
-                if a3 == a1 or a3 == a2:
-                    continue
-                out.append((group.sub(params, a1, a2), group.sub(params, a3, a2)))
-    return out
-
-
 def check_order(params: GroupParams) -> None:
     """Raise OrderLimitError when the group is too large to search."""
     if params.order > MAX_ORDER:
@@ -182,10 +166,10 @@ def search(
     params: GroupParams,
     shape: Shape,
     budget: Optional[SearchBudget] = None,
-    symmetry: bool = True,
     models: Optional[Sequence[Tuple[Element, Element]]] = None,
 ) -> OracleVerdict:
-    """Decide realizability of the shape by exhaustive search over spine models.
+    """Decide realizability of the shape by exhaustive search over spine models
+    (the canonical ones unless ``models`` is given).
 
     Raises OrderLimitError above MAX_ORDER."""
     labeling._check_shape(params, shape)
@@ -193,7 +177,7 @@ def search(
     start = time.monotonic()
     state = _Budget(budget)
     if models is None:
-        models = canonical_models(params) if symmetry else naive_models(params)
+        models = canonical_models(params)
     tried: List[Tuple[Element, Element]] = []
     for a, b in models:
         tried.append((a, b))

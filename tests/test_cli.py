@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from rainbowcat import cli, labeling
+from rainbowcat import cli, group, labeling
 from rainbowcat.group import GroupParams
 
 
@@ -13,6 +13,17 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def no_group_listing(monkeypatch):
+    """Fail the test if anything lists the group's elements or cosets."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("listed the elements of a huge group")
+
+    monkeypatch.setattr(group, "elements", refuse)
+    monkeypatch.setattr(group, "cosets", refuse)
 
 
 class TestLabel:
@@ -67,9 +78,26 @@ class TestLabel:
         assert json.loads(plan)["spine"]["triple"] == [0, 2, 0]
 
     def test_verbose_block_menus(self, capsys):
+        # a beta_neg corner: its plan is the model [a,0,2a] with two mixed cycles
         code, _, err = run(capsys, "label", "--p", "5", "--k", "2", "--hairs", "3,5,14", "--verbose")
         assert code == 0
-        assert "block menus" in err
+        plan = json.loads(err)
+        assert plan["model"] == [[1, 0], [2, 0]]
+        assert plan["spine"]["triple"] == [1, 1, 0]
+        assert [m["triple"] for m in plan["mixed"]] == [[1, 2, 2], [1, 2, 2]]
+        assert plan["uniform"] == {"x": 0, "y": 0, "z": 2}
+
+    def test_order_above_limit_exit_2(self, capsys, no_group_listing):
+        # Z_2^40 has order 2**40; construct refuses it before listing anything
+        code, out, err = run(capsys, "label", "--p", "2", "--k", "40", "--hairs", "0,1,1099511627772")
+        assert code == 2
+        assert out == ""
+        assert "at most 1048576" in err
+
+    def test_huge_infeasible_exit_1(self, capsys, no_group_listing):
+        code, out, _ = run(capsys, "label", "--p", "2", "--k", "40", "--hairs", "1,1,1099511627771")
+        assert code == 1
+        assert out.startswith("infeasible: P2_parity")
 
 
 class TestFeasible:
@@ -87,6 +115,11 @@ class TestFeasible:
         code, out, _ = run(capsys, "feasible", "--p", "3", "--k", "2", "--hairs", "5,0,1")
         assert code == 1
         assert "infeasible: P3_E2" in out
+
+    def test_huge_group_closed_form(self, capsys, no_group_listing):
+        code, out, _ = run(capsys, "feasible", "--p", "2", "--k", "40", "--hairs", "0,1,1099511627772")
+        assert code == 0
+        assert out.strip() == "feasible"
 
 
 class TestOracle:
@@ -106,10 +139,6 @@ class TestOracle:
         )
         assert code == 3
         assert out.startswith("budgeted")
-
-    def test_no_symmetry(self, capsys):
-        code, out, _ = run(capsys, "oracle", "--p", "2", "--k", "2", "--hairs", "0,1,0", "--no-symmetry")
-        assert code == 0
 
     def test_order_at_limit_searches(self, capsys):
         # Z_2^9 has order 512 = MAX_ORDER; the all-Y shape is found on the

@@ -205,15 +205,9 @@ class TestPlanning:
                 continue
             try:
                 plan = constructor.plan_components(params, shape)
-            except constructor._NoRecipe:
+            except ConstructionError:
                 continue
-            h = shape.h[::-1] if plan.reflected else shape.h
-            totals = [0, 0, 0]
-            for tri in [plan.spine_triple] + plan.mixed_triples:
-                totals = [t + c for t, c in zip(totals, tri)]
-            for i, role in enumerate((X, Y, Z)):
-                totals[i] += params.p * plan.uniform[role]
-            assert tuple(totals) == h
+            assert _plan_totals(params, plan) == shape.h
 
     def test_debug_dump_shape(self):
         params = GroupParams(5, 2)
@@ -221,12 +215,27 @@ class TestPlanning:
         assert set(d) == {"model", "generator", "reflected", "spine", "mixed", "uniform"}
 
 
-def _has_recipe(params, shape):
-    try:
-        constructor.plan_components(params, shape)
-    except constructor._NoRecipe:
-        return False
-    return True
+def _plan_totals(params, plan):
+    """Role counts the plan places, in the order of the shape it was made for."""
+    totals = [0, 0, 0]
+    for tri in [plan.spine_triple] + plan.mixed_triples:
+        totals = [t + c for t, c in zip(totals, tri)]
+    for i, role in enumerate((X, Y, Z)):
+        totals[i] += params.p * plan.uniform[role]
+    return tuple(totals[::-1]) if plan.reflected else tuple(totals)
+
+
+def _is_corner(params, shape):
+    """Empty-X corners and beta_neg corners (residues (p-3,1,p-1),
+    (p-2,0,p-1) and mirrors): the shapes no parity or skew case covers."""
+    p = params.p
+    res = labeling.residues(params, shape).as_tuple()
+    beta_neg = {(p - 3, 1, p - 1), (p - 2, 0, p - 1)}
+    return (
+        constructor.empty_x_twin(params, shape) is not None
+        or res in beta_neg
+        or res[::-1] in beta_neg
+    )
 
 
 @pytest.fixture
@@ -237,6 +246,17 @@ def no_search(monkeypatch):
         raise AssertionError("construct called oracle.search")
 
     monkeypatch.setattr(oracle, "search", refuse)
+
+
+@pytest.fixture
+def no_walk(monkeypatch):
+    """Make the spine-model walk fail the test: at p >= 5 construct must take
+    a recipe or the empty-X twin."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("construct walked the spine models")
+
+    monkeypatch.setattr(constructor, "small_p_patterns", refuse)
 
 
 class TestConstruct:
@@ -267,12 +287,12 @@ class TestConstruct:
             assert constructor.construct(params, shape) == constructor.construct(params, shape)
 
     def test_fallback_shape_beta_zero(self):
-        # residues (3,0,4): the parity split needs beta' >= 0, so this goes
-        # through the completion fallback; result must still verify
+        # residues (3,0,4): the parity split would need beta' < 0, so the
+        # beta_neg recipe plans it
         params = GroupParams(5, 2)
         shape = shp(5, 2, (3, 5, 14))
-        with pytest.raises(constructor._NoRecipe):
-            constructor.plan_components(params, shape)
+        plan = constructor.plan_components(params, shape)
+        assert _plan_totals(params, plan) == shape.h
         lab = constructor.construct(params, shape)
         assert labeling.verify(params, shape, lab).valid
 
@@ -281,25 +301,26 @@ class TestConstruct:
         with pytest.raises(UnsupportedInstanceError):
             constructor.small_p_patterns(params, shp(5, 2, (9, 4, 9)))
 
-    @pytest.mark.parametrize("h", [(117, 17, 152), (0, 16, 270)])
-    def test_p17_corners(self, h):
-        # beta_neg and empty_x corners of Z_17^2: no recipe of their own, so
-        # the block menus of the cyclic models and the isomorphic twin
-        # decide them at any p
-        params = GroupParams(17, 2)
-        shape = shp(17, 2, h)
-        with pytest.raises(constructor._NoRecipe):
-            constructor.plan_components(params, shape)
+    @pytest.mark.parametrize(
+        "p,h",
+        [(17, (117, 17, 152)), (17, (0, 16, 270)), (29, (26, 30, 782))],
+        ids=["h0", "h1", "h2"],
+    )
+    def test_p17_corners(self, p, h, no_search, no_walk):
+        # beta_neg and empty-X corners: the beta_neg recipe and the
+        # isomorphic twin build them without a search at any p
+        params = GroupParams(p, 2)
+        shape = shp(p, 2, h)
         lab = constructor.construct(params, shape)
         assert labeling.verify(params, shape, lab).valid
 
-    @pytest.mark.parametrize("p,k", [(11, 2), (13, 2), (5, 3)])
-    def test_every_recipe_less_shape(self, p, k, no_search):
+    @pytest.mark.parametrize("p,k", [(5, 2), (7, 2), (11, 2), (13, 2), (5, 3)])
+    def test_every_recipe_less_shape(self, p, k, no_search, no_walk):
         params = GroupParams(p, k)
         corners = [
             s
             for s in oracle.all_shapes(params)
-            if constructor.feasibility(params, s).feasible and not _has_recipe(params, s)
+            if constructor.feasibility(params, s).feasible and _is_corner(params, s)
         ]
         assert corners
         for shape in corners:

@@ -6,7 +6,7 @@ import pytest
 
 from rainbowcat import group, labeling, oracle
 from rainbowcat.group import GroupParams
-from testkit import enumerate_table
+from testkit import enumerate_table, naive_models
 
 
 class TestCanonicalModels:
@@ -17,7 +17,7 @@ class TestCanonicalModels:
 
     def test_naive_models_count(self):
         params = GroupParams(2, 2)
-        assert len(oracle.naive_models(params)) == 4 * 3 * 2
+        assert len(naive_models(params)) == 4 * 3 * 2
 
 
 class TestSearch:

@@ -1,6 +1,7 @@
 """Helpers that only the tests use: a second, rule-by-rule statement of the
-rainbow constraint, labeling transforms under the group's symmetries, and
-the full predicate-vs-oracle table of a group."""
+rainbow constraint, labeling transforms under the group's symmetries, every
+translated spine model (the reference for the canonical reduction), and the
+full predicate-vs-oracle table of a group."""
 
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -102,3 +103,19 @@ def enumerate_table(
     """Feasibility table rows (JSON-lines schema), one per shape."""
     for shape in oracle.all_shapes(params):
         yield oracle.table_row(params, shape, budget_per_shape, cross_check)
+
+
+def naive_models(params: GroupParams) -> List[Tuple[Element, Element]]:
+    """Translated forms (a1-a2, a3-a2) of every distinct spine triple, the
+    reference that oracle.canonical_models is checked against."""
+    out = []
+    elems = group.elements(params)
+    for a1 in elems:
+        for a2 in elems:
+            if a2 == a1:
+                continue
+            for a3 in elems:
+                if a3 == a1 or a3 == a2:
+                    continue
+                out.append((group.sub(params, a1, a2), group.sub(params, a3, a2)))
+    return out
