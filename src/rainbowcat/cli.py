@@ -219,15 +219,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("oracle", help="exhaustive search")
     instance_flags(sp)
-    sp.add_argument("--timeout-ms", type=int, default=None)
-    sp.add_argument("--node-limit", type=int, default=None)
+    sp.add_argument("--timeout-ms", type=int, default=None,
+                    help="wall-time budget for whole-group search")
+    sp.add_argument("--node-limit", type=int, default=None,
+                    help="whole-group search nodes; models decided per coset are not budgeted")
     sp.set_defaults(func=cmd_oracle)
 
     sp = sub.add_parser("table", help="feasibility table as JSON lines")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--cross-check", action="store_true", help="compare predicate vs oracle")
-    sp.add_argument("--timeout-ms", type=int, default=None, help="oracle budget per shape")
+    sp.add_argument("--timeout-ms", type=int, default=None, help="whole-group search time per shape")
     sp.add_argument("--jobs", type=int, default=1, help="parallel workers for table rows")
     sp.set_defaults(func=cmd_table)
 

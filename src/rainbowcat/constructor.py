@@ -518,7 +518,8 @@ def _decompose(
 
 def _construct_by_blocks(params: GroupParams, shape: Shape, a: Element, b: Element) -> Optional[Labeling]:
     """Complete per-model decision procedure via block enumeration + exact
-    decomposition of the hair counts.  None means unrealizable in this model."""
+    decomposition of the hair counts.  None means unrealizable in this model.
+    oracle.search decides every model that spans a proper subgroup with it."""
     comps = group.cosets(params, [a, b])
     subgroup = tuple(comps[0])
     spine_menu = _component_patterns(params, a, b, subgroup, True)

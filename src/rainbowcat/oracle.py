@@ -1,15 +1,27 @@
-"""Exhaustive ground truth: backtracking over role partitions.
+"""Exhaustive ground truth: a decision per spine model.
 
 For a fixed spine model [a,0,b] every free element takes one of the roles
 x/y/z.  Role x at v puts a+v on an edge, y puts v, z puts b+v; the two spine
 edges put a and b.  A labeling is valid iff all these edge labels are
-distinct.  The search state is one bitset of unassigned cells and, per role,
-a bitset of the cells where that role would reuse a consumed label; giving a
-cell a role consumes one label and so blocks at most one cell per role.  A
-few integer operations per node find the legal cells of each role, prune
-against the remaining role quotas, and pick the most constrained cell, ties
-to the lowest canonical index.  Translation plus group automorphisms reduce
-the spine models to a canonical family.
+distinct.  Translation plus group automorphisms reduce the spine models to a
+canonical family, and search decides each model in order:
+
+* Missing-label prune.  The edge labels sum to h1*a + h3*b, since the group
+  elements sum to 0, so the one element no edge carries is -(h1*a + h3*b).
+  The spine edges always carry a and b, so a model whose missing label is a
+  or b is impossible; it costs O(1) to skip.
+* Coset lemma.  Each role keeps a cell's label in the cell's coset of
+  H = span(a, b), so the model is realizable exactly when the spine coset H
+  realizes some count triple s and h - s is a sum of triples realizable on
+  the regular cosets.  When H is a proper subgroup the constructor's per-coset
+  menus and decomposition (constructor._construct_by_blocks) decide it.
+* Whole group.  When H is the whole group, _search_model backtracks.  Its
+  state is one bitset of unassigned cells and, per role, a bitset of the
+  cells where that role would reuse a consumed label; giving a cell a role
+  consumes one label and so blocks at most one cell per role.  A few integer
+  operations per node find the legal cells of each role, prune against the
+  remaining role quotas, and pick the most constrained cell, ties to the
+  lowest canonical index.  A SearchBudget counts these nodes only.
 """
 
 from __future__ import annotations
@@ -26,6 +38,10 @@ from .labeling import Labeling, Shape
 
 @dataclass(frozen=True)
 class SearchBudget:
+    """Limits on the whole-group backtracking of one search call: its nodes
+    and its wall time.  Models decided by pruning or per coset are not
+    budgeted."""
+
     timeout_ms: Optional[int] = None
     node_limit: Optional[int] = None
 
@@ -99,18 +115,18 @@ def _search_model(
 ) -> Optional[Dict[Element, str]]:
     """Backtracking over one model; returns a full role partition or None.
 
-    None means exhausted unless budget.exhausted was set.  The state is four
-    bitsets over group indices: U, the unassigned free cells, and bx, by, bz,
-    the cells where role x, y or z would reuse a consumed edge label.  A node
+    The model must be non-degenerate (a != b, both nonzero); search checks
+    that and calls it only when a, b span the whole group.  None means
+    exhausted unless budget.exhausted was set.  The state is four bitsets
+    over group indices: U, the unassigned free cells, and bx, by, bz, the
+    cells where role x, y or z would reuse a consumed edge label.  A node
     fails when some cell has no legal role or some role has fewer legal cells
     than its quota.  Otherwise it branches on the cell with the fewest legal
     roles, ties to the lowest canonical index, and tries roles x, y, z.
     """
     zero = params.zero
     free: List[Element] = [v for v in group.elements(params) if v not in (zero, a, b)]
-    consumed, lab_bit = labeling.role_label_bits(params, a, b, free)
-    if consumed.bit_count() != 2:
-        return None  # degenerate model (a == b)
+    _, lab_bit = labeling.role_label_bits(params, a, b, free)
     idx = params.index
     # blocks[L][r]: the cells where role r would put label L on an edge
     blocks = [[0, 0, 0] for _ in range(params.order)]
@@ -162,31 +178,49 @@ def _search_model(
     return None
 
 
+def _spans_group(params: GroupParams, a: Element, b: Element) -> bool:
+    """Whether the nonzero elements a, b generate the whole group."""
+    if params.k == 1:
+        return True
+    return params.k == 2 and (a[0] * b[1] - a[1] * b[0]) % params.p != 0
+
+
 def search(
     params: GroupParams,
     shape: Shape,
     budget: Optional[SearchBudget] = None,
     models: Optional[Sequence[Tuple[Element, Element]]] = None,
 ) -> OracleVerdict:
-    """Decide realizability of the shape by exhaustive search over spine models
-    (the canonical ones unless ``models`` is given).
+    """Decide realizability of the shape model by model (the canonical spine
+    models unless ``models`` is given); see the module docstring.
 
     Raises OrderLimitError above MAX_ORDER."""
+    from . import constructor  # local import: constructor imports this module
+
     labeling._check_shape(params, shape)
     check_order(params)
     start = time.monotonic()
     state = _Budget(budget)
     if models is None:
         models = canonical_models(params)
+    h1, _, h3 = shape.h
     tried: List[Tuple[Element, Element]] = []
     for a, b in models:
         tried.append((a, b))
-        part = _search_model(params, shape, a, b, state)
-        if part is not None:
-            lab = labeling.partition_to_labeling(params, shape, part)
+        if a == b or params.zero in (a, b):
+            continue  # degenerate model: two spine vertices share a label
+        missing = tuple(-(h1 * x + h3 * y) % params.p for x, y in zip(a, b))
+        if missing in (a, b):
+            continue
+        if _spans_group(params, a, b):
+            part = _search_model(params, shape, a, b, state)
+            if state.exhausted:
+                return OracleVerdict(BUDGETED, None, state.nodes, tried, _ms(start))
+            lab = None if part is None else labeling.partition_to_labeling(params, shape, part)
+        else:
+            lab = constructor._construct_by_blocks(params, shape, a, b)
+        if lab is not None:
             return OracleVerdict(FOUND, lab, state.nodes, tried, _ms(start))
-        if state.exhausted:
-            return OracleVerdict(BUDGETED, None, state.nodes, tried, _ms(start))
     return OracleVerdict(INFEASIBLE, None, state.nodes, tried, _ms(start))
 
 
@@ -207,7 +241,7 @@ def table_row(
     cross_check: bool = True,
 ) -> dict:
     """One feasibility-table row (JSON-lines schema)."""
-    from . import constructor  # local import: constructor uses this module's engine
+    from . import constructor  # local import: constructor imports this module
 
     verdict = constructor.feasibility(params, shape)
     row: dict = {"h": list(shape.h)}

@@ -1,4 +1,4 @@
-"""Acceptance suite: eleven end-to-end criteria, one test (and one pass/fail
+"""Acceptance suite: fifteen end-to-end criteria, one test (and one pass/fail
 line under pytest -v) each.  Runtime bounds are asserted where stated."""
 
 import itertools
@@ -234,4 +234,53 @@ def test_criterion_11_full_table_agreement_5_2(monkeypatch):
             "infeasible:E2_Y0",
             "infeasible:E3_Y1",
         ), r["h"]
+    assert time.monotonic() - start < 300.0
+
+
+def _assert_infeasible_families(rows, families):
+    for r in rows:
+        assert r["oracle"] in (oracle.FOUND, oracle.INFEASIBLE)
+        if r["oracle"] == oracle.INFEASIBLE:
+            assert r["predicate"] in families, r["h"]
+
+
+def test_criterion_12_full_table_agreement_2_5(monkeypatch):
+    start = time.monotonic()
+    params, rows = _checked_table(2, 5, monkeypatch)
+    assert len(rows) == 465
+    assert all(r["agree"] is True for r in rows)
+    assert sum(r["oracle"] == oracle.INFEASIBLE for r in rows) == 345
+    _assert_infeasible_families(rows, ("infeasible:P2_parity",))
+    assert time.monotonic() - start < 60.0
+
+
+def test_criterion_13_full_table_agreement_2_6(monkeypatch):
+    start = time.monotonic()
+    params, rows = _checked_table(2, 6, monkeypatch)
+    assert len(rows) == 1953
+    assert all(r["agree"] is True for r in rows)
+    assert sum(r["oracle"] == oracle.INFEASIBLE for r in rows) == 1457
+    _assert_infeasible_families(rows, ("infeasible:P2_parity",))
+    assert time.monotonic() - start < 60.0
+
+
+def test_criterion_14_full_table_agreement_3_4(monkeypatch):
+    start = time.monotonic()
+    params, rows = _checked_table(3, 4, monkeypatch)
+    assert len(rows) == 3160
+    assert all(r["agree"] is True for r in rows)
+    assert sum(r["oracle"] == oracle.INFEASIBLE for r in rows) == 754
+    _assert_infeasible_families(rows, ("infeasible:P3_E1", "infeasible:P3_E2"))
+    assert time.monotonic() - start < 300.0
+
+
+def test_criterion_15_full_table_agreement_7_2(monkeypatch):
+    start = time.monotonic()
+    params, rows = _checked_table(7, 2, monkeypatch)
+    assert len(rows) == 1128
+    assert all(r["agree"] is True for r in rows)
+    assert sum(r["oracle"] == oracle.INFEASIBLE for r in rows) == 66
+    _assert_infeasible_families(
+        rows, ("infeasible:E1_beta_pm2", "infeasible:E2_Y0", "infeasible:E3_Y1")
+    )
     assert time.monotonic() - start < 300.0

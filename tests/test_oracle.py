@@ -47,8 +47,10 @@ class TestSearch:
                 assert labeling.verify(params, shape, v.labeling).valid
 
     def test_budget_exhaustion(self):
+        # the cyclic models are decided per coset; (e1, e2) needs more than
+        # 10 whole-group nodes on this shape
         params = GroupParams(5, 2)
-        shape = labeling.make_shape(params, (4, 0, 18))
+        shape = labeling.make_shape(params, (9, 1, 12))
         v = oracle.search(params, shape, oracle.SearchBudget(node_limit=10))
         assert v.outcome == oracle.BUDGETED
         assert v.labeling is None
@@ -79,11 +81,17 @@ def _rainbow_counts(params, a, b):
     return counts
 
 
+def _model_param(params, a, b):
+    return pytest.param(
+        params, a, b, id=f"Z{params.p}^{params.k}-a{''.join(map(str, a))}-b{''.join(map(str, b))}"
+    )
+
+
 def _canonical_model_params():
     for p, k in ((2, 3), (3, 2), (7, 1)):
         params = GroupParams(p, k)
         for a, b in oracle.canonical_models(params):
-            yield pytest.param(params, a, b, id=f"Z{p}^{k}-a{''.join(map(str, a))}-b{''.join(map(str, b))}")
+            yield _model_param(params, a, b)
 
 
 @pytest.mark.parametrize("params, a, b", _canonical_model_params())
@@ -96,6 +104,46 @@ def test_search_model_matches_brute_force(params, a, b):
         if part is not None:
             lab = labeling.partition_to_labeling(params, shape, part)
             assert labeling.verify(params, shape, lab).valid, shape.h
+        # search's decision of the single model, missing-label prune included
+        verdict = oracle.search(params, shape, models=[(a, b)])
+        assert (verdict.outcome == oracle.FOUND) == (shape.h in rainbow), shape.h
+    for h1, _, h3 in rainbow:
+        # the prune never fires on a realizable model
+        missing = tuple(-(h1 * x + h3 * y) % params.p for x, y in zip(a, b))
+        assert missing not in (a, b)
+
+
+def _decision_cases():
+    for p, k in ((2, 3), (2, 4), (3, 2), (5, 2)):
+        params = GroupParams(p, k)
+        for a, b in oracle.canonical_models(params):
+            yield _model_param(params, a, b)
+    # the cyclic model of Z_3^3 costs 14.5 M whole-group nodes; left out
+    yield _model_param(GroupParams(3, 3), (1, 0, 0), (0, 1, 0))
+
+
+@pytest.mark.parametrize("params, a, b", _decision_cases())
+def test_model_decision_matches_search_model(params, a, b):
+    for shape in oracle.all_shapes(params):
+        verdict = oracle.search(params, shape, models=[(a, b)])
+        part = oracle._search_model(params, shape, a, b, oracle._Budget(None))
+        assert (verdict.outcome == oracle.FOUND) == (part is not None), shape.h
+        if verdict.outcome == oracle.FOUND:
+            assert labeling.verify(params, shape, verdict.labeling).valid, shape.h
+
+
+def test_search_model_recursion_at_order_limit():
+    # Z_2^9 has order 512 = MAX_ORDER; the all-Y shape is found on the
+    # first descent, 509 recursion levels deep
+    params = GroupParams(2, 9)
+    shape = labeling.make_shape(params, (0, 509, 0))
+    a, b = oracle.canonical_models(params)[0]
+    budget = oracle._Budget(oracle.SearchBudget(node_limit=600))
+    part = oracle._search_model(params, shape, a, b, budget)
+    assert part is not None
+    assert budget.nodes == 509
+    lab = labeling.partition_to_labeling(params, shape, part)
+    assert labeling.verify(params, shape, lab).valid
 
 
 class TestShapesAndTable:
