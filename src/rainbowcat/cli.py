@@ -66,10 +66,10 @@ def _print_dot(params: GroupParams, shape: Shape, lab: Labeling) -> None:
     idx = params.index
     print("graph caterpillar {")
     part = labeling.labeling_to_partition(params, lab)
-    for e in sorted(part):
-        print(f'  n{idx(e)} [label="{_fmt_elem(e)}" role="{part[e]}"];')
+    for v in sorted(part):
+        print(f'  n{v} [label="{_fmt_elem(params.element(v))}" role="{part[v]}"];')
     for u, v in labeling._edges(params, lab):
-        s = group.add(params, u, v)
+        s = params.element(group.add(params, idx(u), idx(v)))
         print(f'  n{idx(u)} -- n{idx(v)} [label="{_fmt_elem(s)}"];')
     print("}")
 
@@ -88,7 +88,7 @@ def cmd_label(args) -> int:
         if twin:
             print(f"empty-X corner; built as the isomorphic tree C{twin.h}", file=sys.stderr)
         plan = constructor.plan_components(params, twin or shape)
-        print(json.dumps(plan.to_debug_dict()), file=sys.stderr)
+        print(json.dumps(plan.to_debug_dict(params)), file=sys.stderr)
     if args.format == "json":
         print(json.dumps(labeling.labeling_to_dict(params, shape, lab)))
     elif args.format == "dot":

@@ -20,6 +20,9 @@ search on the shared edge-label bits (labeling.role_label_bits), and a
 decomposition of the hair counts into menu triples that searches
 breadth-first by residue class (_decompose).  construct refuses groups of
 order above MAX_ORDER, after the closed-form verdict.
+
+Models, generators, cosets and role maps hold elements as integer indices
+(see group); the Labeling construct returns holds tuples.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .errors import (
     OrderLimitError,
     UnsupportedInstanceError,
 )
-from .group import Element, GroupParams
+from .group import GroupParams
 from .labeling import HAIR_ROLES, S1, S2, S3, X, Y, Z, Labeling, Shape
 
 E1_BETA_PM2 = "E1_beta_pm2"
@@ -201,8 +204,8 @@ def pattern_counts(pat: Sequence[str]) -> Tuple[int, int, int]:
 class ComponentPlan:
     """Blueprint for assembling a labeling out of per-component patterns."""
 
-    model: Tuple[Element, Element]
-    generator: Element
+    model: Tuple[int, int]
+    generator: int
     spine_pattern: Tuple[str, ...]
     mixed: Tuple[Tuple[str, ...], ...]
     uniform: Dict[str, int]
@@ -216,10 +219,12 @@ class ComponentPlan:
     def mixed_triples(self) -> List[Tuple[int, int, int]]:
         return [pattern_counts(p) for p in self.mixed]
 
-    def to_debug_dict(self) -> dict:
+    def to_debug_dict(self, params: GroupParams) -> dict:
+        """The plan as JSON-ready values, elements as coordinate lists."""
+        coords = [list(params.element(e)) for e in self.model + (self.generator,)]
         return {
-            "model": [list(self.model[0]), list(self.model[1])],
-            "generator": list(self.generator),
+            "model": coords[:2],
+            "generator": coords[2],
             "reflected": self.reflected,
             "spine": {"pattern": list(self.spine_pattern), "triple": list(self.spine_triple)},
             "mixed": [
@@ -360,9 +365,9 @@ def _plan_general(params, h, a, b, g) -> ComponentPlan:
 def _assemble(
     params: GroupParams,
     shape: Shape,
-    comps: Sequence[Sequence[Element]],
-    spine: Dict[Element, str],
-    blocks: Sequence[Dict[Element, str]],
+    comps: Sequence[Sequence[int]],
+    spine: Dict[int, str],
+    blocks: Sequence[Dict[int, str]],
 ) -> Labeling:
     """Place role maps on the cosets of group.cosets(params, gens).
 
@@ -434,11 +439,11 @@ def _from_twin(params: GroupParams, shape: Shape, twin: Labeling) -> Labeling:
 @functools.lru_cache(maxsize=None)
 def _component_patterns(
     params: GroupParams,
-    a: Element,
-    b: Element,
-    cells: Tuple[Element, ...],
+    a: int,
+    b: int,
+    cells: Tuple[int, ...],
     spine: bool,
-) -> Dict[Tuple[int, int, int], Dict[Element, str]]:
+) -> Dict[Tuple[int, int, int], Dict[int, str]]:
     """All realizable role-count triples on one component, with one
     representative rainbow assignment each (first in lex enumeration order).
 
@@ -448,10 +453,10 @@ def _component_patterns(
     and the spine-edge labels a, b start used; regular components start with
     no label used and may be translated to any coset afterwards.
     """
-    spine_cells = {a, params.zero, b} if spine else set()
+    spine_cells = {a, 0, b} if spine else set()
     free = tuple(c for c in sorted(cells) if c not in spine_cells)
     spine_bits, table = labeling.role_label_bits(params, a, b, free)
-    out: Dict[Tuple[int, int, int], Dict[Element, str]] = {}
+    out: Dict[Tuple[int, int, int], Dict[int, str]] = {}
     roles: List[str] = []
 
     def extend(used: int) -> None:
@@ -516,7 +521,7 @@ def _decompose(
     return None
 
 
-def _construct_by_blocks(params: GroupParams, shape: Shape, a: Element, b: Element) -> Optional[Labeling]:
+def _construct_by_blocks(params: GroupParams, shape: Shape, a: int, b: int) -> Optional[Labeling]:
     """Complete per-model decision procedure via block enumeration + exact
     decomposition of the hair counts.  None means unrealizable in this model.
     oracle.search decides every model that spans a proper subgroup with it."""
@@ -531,7 +536,7 @@ def _construct_by_blocks(params: GroupParams, shape: Shape, a: Element, b: Eleme
         blocks = _decompose(rest, list(reg_menu), len(comps) - 1)
         if blocks is None:
             continue
-        spine = {a: S1, params.zero: S2, b: S3, **spine_menu[s]}
+        spine = {a: S1, 0: S2, b: S3, **spine_menu[s]}
         return _assemble(params, shape, comps, spine, [reg_menu[t] for t in blocks])
     return None
 

@@ -1,9 +1,13 @@
 """Arithmetic and structural queries for the elementary abelian group Z_p^k.
 
-Elements are length-k tuples of residues mod p, ordered lexicographically.
-A fixed mixed-radix bijection element <-> index in [0, p^k) (most significant
-coordinate first, so index order equals lex order) supports bitset membership
-in the exhaustive search.
+Inside the package an element is an integer index in [0, p^k): its base-p
+digits are the coordinates, most significant first, so index order is
+lexicographic order.  Addition is XOR at p = 2 and digit-wise mod p
+otherwise.  Length-k tuples of residues are the boundary form, used by JSON,
+the command line and the public values (Labeling fields, reports, plan
+dumps).  GroupParams.index/element convert one element, ``elements`` lists
+the boundary form of every index, and ``indices`` converts and validates the
+tuples that come in.
 """
 
 from __future__ import annotations
@@ -11,10 +15,11 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from .errors import InvalidElementError
 
+# The boundary form of an element; the package computes on indices (int).
 Element = Tuple[int, ...]
 
 
@@ -69,6 +74,7 @@ class GroupParams:
 
     @property
     def zero(self) -> Element:
+        """The identity in boundary form; its index is 0."""
         return (0,) * self.k
 
     def validate(self, e: Element) -> None:
@@ -76,6 +82,7 @@ class GroupParams:
             raise InvalidElementError(f"{e!r} is not an element of Z_{self.p}^{self.k}")
 
     def index(self, e: Element) -> int:
+        """Index of a tuple element, unvalidated; ``indices`` validates."""
         i = 0
         for c in e:
             i = i * self.p + c
@@ -91,71 +98,109 @@ class GroupParams:
 
 @functools.lru_cache(maxsize=None)
 def elements(params: GroupParams) -> Tuple[Element, ...]:
-    """All group elements in canonical (lexicographic) order."""
+    """Every element in boundary form: entry i is the tuple of index i."""
     return tuple(itertools.product(range(params.p), repeat=params.k))
 
 
-def add(params: GroupParams, e1: Element, e2: Element) -> Element:
-    params.validate(e1)
-    params.validate(e2)
-    return tuple((a + b) % params.p for a, b in zip(e1, e2))
+def indices(params: GroupParams, elems: Sequence[Element]) -> List[int]:
+    """The index of every tuple in ``elems``, validating each: the one way
+    from the boundary form into the package.  Raises InvalidElementError for
+    the first invalid element."""
+    coords = itertools.chain.from_iterable
+    if (
+        set(map(len, elems)) != {params.k}
+        or min(coords(elems)) < 0
+        or max(coords(elems)) >= params.p
+    ):
+        for e in elems:
+            params.validate(e)
+    return list(map(params.index, elems))
 
 
-def neg(params: GroupParams, e: Element) -> Element:
-    params.validate(e)
-    return tuple((-a) % params.p for a in e)
+def translate(params: GroupParams, a: int, cells: Sequence[int]) -> List[int]:
+    """a + v for every v in ``cells``.
+
+    XOR at p = 2.  Otherwise the integer sum a + v is right except at the
+    digits where the two digits reach p, where it carried; one pass per
+    nonzero digit of a subtracts p at those digits.
+    """
+    p = params.p
+    if p == 2:
+        return [a ^ v for v in cells]
+    out = [a + v for v in cells]
+    w = 1
+    while a:
+        a, d = divmod(a, p)
+        if d:
+            pw, low = p * w, p - d
+            out = [s - pw if v // w % p >= low else s for s, v in zip(out, cells)]
+        w *= p
+    return out
 
 
-def sub(params: GroupParams, e1: Element, e2: Element) -> Element:
-    params.validate(e1)
-    params.validate(e2)
-    return tuple((a - b) % params.p for a, b in zip(e1, e2))
+def add(params: GroupParams, a: int, b: int) -> int:
+    return translate(params, a, (b,))[0]
 
 
-def scale(params: GroupParams, c: int, e: Element) -> Element:
-    params.validate(e)
-    return tuple((c * a) % params.p for a in e)
+def scale(params: GroupParams, c: int, a: int) -> int:
+    """c * a, digit by digit."""
+    p, c = params.p, c % params.p
+    out, w = 0, 1
+    while a:
+        a, d = divmod(a, p)
+        out += d * c % p * w
+        w *= p
+    return out
 
 
-def span(params: GroupParams, gens: Iterable[Element]) -> list:
-    """Subgroup generated by ``gens``, as a lex-sorted list of elements."""
-    gens = list(gens)
+def neg(params: GroupParams, a: int) -> int:
+    return scale(params, -1, a)
+
+
+def sub(params: GroupParams, a: int, b: int) -> int:
+    return add(params, a, neg(params, b))
+
+
+def span(params: GroupParams, gens: Iterable[int]) -> List[int]:
+    """Subgroup generated by ``gens``, sorted.  Each generator g outside the
+    current subgroup H gives H + mg for m in [0, p)."""
+    subgroup = [0]
     for g in gens:
-        params.validate(g)
-    seen = {params.zero}
-    frontier = [params.zero]
-    while frontier:
-        u = frontier.pop()
-        for g in gens:
-            v = add(params, u, g)
-            if v not in seen:
-                seen.add(v)
-                frontier.append(v)
-    return sorted(seen)
+        if g not in subgroup:
+            subgroup = [
+                v for m in range(params.p)
+                for v in translate(params, scale(params, m, g), subgroup)
+            ]
+    return sorted(subgroup)
 
 
-def cosets(params: GroupParams, gens: Sequence[Element]) -> list:
+def cosets(params: GroupParams, gens: Sequence[int]) -> List[List[int]]:
     """Partition of the group into cosets of H = span(gens).
 
-    H comes first, in lex order.  Every other coset C follows in lex order of
+    H comes first, in order.  Every other coset C follows in order of
     min(C) and is listed as min(C) + h for h in H, so position i of every
     coset corresponds to H[i].
     """
     subgroup = span(params, gens)
-    p = params.p
-    seen = set(subgroup)
-    out = [subgroup]
-    for rep in elements(params):
-        if rep in seen:
-            continue
-        coset = [tuple((x + y) % p for x, y in zip(rep, h)) for h in subgroup]
-        seen.update(coset)
-        out.append(coset)
+    q = params.order // len(subgroup)
+    if subgroup == list(range(0, params.order, q)):
+        # H is the subspace of the top coordinates, as for every canonical
+        # model: the coset minima are 0..q-1 and min(C) + h never carries
+        return [[r + h for h in subgroup] for r in range(q)]
+    seen = bytearray(params.order)
+    out = []
+    for rep in range(params.order):
+        if not seen[rep]:
+            coset = translate(params, rep, subgroup)
+            for v in coset:
+                seen[v] = 1
+            out.append(coset)
     return out
 
 
-def basis_vector(params: GroupParams, i: int) -> Element:
-    return tuple(1 if j == i else 0 for j in range(params.k))
+def basis_vector(params: GroupParams, i: int) -> int:
+    """The i-th coordinate vector e_(i+1)."""
+    return params.p ** (params.k - 1 - i)
 
 
 def element_to_json(e: Element) -> list:

@@ -7,6 +7,10 @@ distinct group element to every vertex; hair vertices are anonymous, so hair
 labels are stored as sets.  The verifier is the ground truth: a labeling is
 valid iff vertex labels are a bijection onto the group and the p^k - 1 edge
 sums are pairwise distinct.
+
+A Labeling and a VerifyReport hold elements in the tuple boundary form; a
+role partition and the edge-label bit table are keyed by integer index.
+verify converts the labels to indices once and computes on those.
 """
 
 from __future__ import annotations
@@ -88,38 +92,36 @@ def make_labeling(spine, x, y, z) -> Labeling:
     return Labeling(tuple(spine), tuple(sorted(x)), tuple(sorted(y)), tuple(sorted(z)))
 
 
-Partition = Dict[Element, str]
+# Role of every element, keyed by index.
+Partition = Dict[int, str]
 
 
 def labeling_to_partition(params: GroupParams, lab: Labeling) -> Partition:
-    part: Partition = {}
-    for role, e in zip(SPINE_ROLES, lab.spine):
-        part[e] = role
-    for role in HAIR_ROLES:
-        for e in lab.hairs(role):
-            part[e] = role
-    return part
+    roles = list(SPINE_ROLES) + [role for role in HAIR_ROLES for _ in lab.hairs(role)]
+    return dict(zip(group.indices(params, lab.spine + lab.x + lab.y + lab.z), roles))
 
 
 def partition_to_labeling(params: GroupParams, shape: Shape, part: Partition) -> Labeling:
     """Inverse of labeling_to_partition; hair sets come out in canonical order."""
     _check_shape(params, shape)
+    elems = group.elements(params)
     spine: Dict[str, Element] = {}
     hairs: Dict[str, List[Element]] = {X: [], Y: [], Z: []}
-    for e in sorted(part):
-        role = part[e]
+    for v in sorted(part):
+        role = part[v]
         if role in SPINE_ROLES:
             if role in spine:
                 raise PartitionShapeMismatchError(f"duplicate spine role {role}")
-            spine[role] = e
+            spine[role] = elems[v]
         else:
-            hairs[role].append(e)
+            hairs[role].append(elems[v])
     if set(spine) != set(SPINE_ROLES):
         raise PartitionShapeMismatchError("partition misses a spine role")
     sizes = tuple(len(hairs[r]) for r in HAIR_ROLES)
     if sizes != shape.h:
         raise PartitionShapeMismatchError(f"role-class sizes {sizes} != shape {shape.h}")
-    return make_labeling((spine[S1], spine[S2], spine[S3]), hairs[X], hairs[Y], hairs[Z])
+    # index order is lex order, so the hair sets are already sorted
+    return Labeling((spine[S1], spine[S2], spine[S3]), *(tuple(hairs[r]) for r in HAIR_ROLES))
 
 
 @dataclass(frozen=True)
@@ -140,46 +142,67 @@ def _edges(params: GroupParams, lab: Labeling):
             yield (spine_label, e)
 
 
+def _first_repeat(keys: Sequence[int]) -> Optional[Tuple[int, int]]:
+    """Positions (i, j), i < j, of the first key seen twice, scanning in
+    order; None if the keys are distinct."""
+    if len(set(keys)) == len(keys):
+        return None
+    first: Dict[int, int] = {}
+    for j, key in enumerate(keys):
+        if key in first:
+            return first[key], j
+        first[key] = j
+    return None
+
+
 def verify(params: GroupParams, shape: Shape, lab: Labeling) -> VerifyReport:
     """Check hair counts against the shape, vertex bijectivity and edge-label
     distinctness; report the first failure found in canonical scan order, or
     the missing edge label if valid.  A count mismatch raises
-    PartitionShapeMismatchError."""
+    PartitionShapeMismatchError, an invalid label InvalidElementError.
+
+    Every label is converted to its index once (group.indices, the only
+    validation); the checks then run on integer sets and sums.
+    """
     _check_shape(params, shape)
     sizes = (len(lab.x), len(lab.y), len(lab.z))
     if sizes != shape.h:
         raise PartitionShapeMismatchError(f"hair counts {sizes} != shape {shape.h}")
-    slots = [(e, f"spine{i + 1}") for i, e in enumerate(lab.spine)]
-    for role in HAIR_ROLES:
-        slots.extend((e, f"hair {role} {e}") for e in lab.hairs(role))
+    idx = group.indices(params, lab.spine + lab.x + lab.y + lab.z)
+    n = params.order
 
-    dup_vertex = None
-    seen_v: Dict[Element, str] = {}
-    for e, slot in slots:
-        params.validate(e)
-        if e in seen_v:
-            dup_vertex = (seen_v[e], slot)
-            break
-        seen_v[e] = slot
-    if dup_vertex is None and len(seen_v) != params.order:
+    dup_vertex = _first_repeat(idx)
+    if dup_vertex is not None:
+        slots = [f"spine{i + 1}" for i in range(len(lab.spine))]
+        slots += [f"hair {role} {e}" for role in HAIR_ROLES for e in lab.hairs(role)]
+        dup_vertex = tuple(slots[i] for i in dup_vertex)
+    elif len(idx) != n:
         # sizes off: report against shape rather than guessing a pair
         raise PartitionShapeMismatchError(
-            f"labeling has {len(seen_v)} vertices, group has {params.order}"
+            f"labeling has {len(idx)} vertices, group has {n}"
         )
 
-    dup_edge = None
-    seen_e: Dict[Element, Tuple[Element, Element]] = {}
-    for u, v in _edges(params, lab):
-        s = group.add(params, u, v)
-        if s in seen_e:
-            dup_edge = (seen_e[s], (u, v))
-            break
-        seen_e[s] = (u, v)
+    # edge labels in _edges order: a1+a2, a2+a3, then each spine label plus
+    # its hairs
+    a1, a2, a3 = idx[:3]
+    h1, h2, _ = shape.h
+    hairs = idx[3:]
+    sums = (
+        group.translate(params, a2, (a1, a3))
+        + group.translate(params, a1, hairs[:h1])
+        + group.translate(params, a2, hairs[h1:h1 + h2])
+        + group.translate(params, a3, hairs[h1 + h2:])
+    )
+    dup_edge = _first_repeat(sums)
+    if dup_edge is not None:
+        edges = list(_edges(params, lab))
+        dup_edge = tuple(edges[i] for i in dup_edge)
 
     valid = dup_vertex is None and dup_edge is None
     missing = None
     if valid:
-        missing = next(e for e in group.elements(params) if e not in seen_e)
+        # the n - 1 distinct edge labels miss exactly one index
+        missing = params.element(n * (n - 1) // 2 - sum(sums))
     return VerifyReport(valid, dup_vertex, dup_edge, missing)
 
 
@@ -190,32 +213,29 @@ def missing_edge_label(params: GroupParams, shape: Shape, lab: Labeling) -> Elem
     if not report.valid:
         raise RainbowError("missing_edge_label requires a valid labeling")
     h1, h2, h3 = shape.h
-    a1, a2, a3 = lab.spine
-    acc = params.zero
+    a1, a2, a3 = group.indices(params, lab.spine)
+    acc = 0
     for c, e in ((h1, a1), (h2 + 1, a2), (h3, a3)):
         acc = group.add(params, acc, group.scale(params, c, e))
-    return group.neg(params, acc)
+    return params.element(group.neg(params, acc))
 
 
 def role_label_bits(
-    params: GroupParams, a: Element, b: Element, cells: Sequence[Element]
-) -> Tuple[int, Dict[Element, Tuple[int, int, int]]]:
-    """Edge labels of the model [a,0,b] as bits over params.index.
+    params: GroupParams, a: int, b: int, cells: Sequence[int]
+) -> Tuple[int, Dict[int, Tuple[int, int, int]]]:
+    """Edge labels of the model [a,0,b] as bits over the element indices.
 
     Returns the bits of the two spine-edge labels a and b, and for every cell
     v the bits that roles x, y, z at v put on an edge: a+v, v, b+v.  A role
     partition is rainbow iff no two of its bits coincide.
     """
-    idx = params.index
     table = {
-        v: (
-            1 << idx(group.add(params, a, v)),
-            1 << idx(v),
-            1 << idx(group.add(params, b, v)),
+        v: (1 << x, 1 << v, 1 << z)
+        for v, x, z in zip(
+            cells, group.translate(params, a, cells), group.translate(params, b, cells)
         )
-        for v in cells
     }
-    return (1 << idx(a)) | (1 << idx(b)), table
+    return (1 << a) | (1 << b), table
 
 
 def reflect(params: GroupParams, lab: Labeling) -> Labeling:

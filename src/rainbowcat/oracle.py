@@ -22,6 +22,10 @@ canonical family, and search decides each model in order:
   operations per node find the legal cells of each role, prune against the
   remaining role quotas, and pick the most constrained cell, ties to the
   lowest canonical index.  A SearchBudget counts these nodes only.
+
+Spine models and role partitions hold elements as integer indices (see
+group); an OracleVerdict reports its labeling and the models it tried as
+tuples.
 """
 
 from __future__ import annotations
@@ -64,7 +68,7 @@ class OracleVerdict:
     elapsed_ms: float = 0.0
 
 
-def canonical_models(params: GroupParams) -> List[Tuple[Element, Element]]:
+def canonical_models(params: GroupParams) -> List[Tuple[int, int]]:
     """Spine models [a,0,b] sufficient up to translation and automorphism:
     (e1, m*e1) for m in [2, p-1], plus the independent pair (e1, e2) when k >= 2."""
     e1 = group.basis_vector(params, 0)
@@ -96,49 +100,54 @@ class _Budget:
         self.exhausted = False
 
     def tick(self) -> bool:
-        """Count a node; True when the budget is gone."""
-        self.nodes += 1
-        if self.node_limit is not None and self.nodes > self.node_limit:
+        """Count a node; True, counting nothing, once the budget is gone, so
+        a search stopped by the node limit reports exactly node_limit nodes."""
+        if self.exhausted:
+            return True
+        if self.node_limit is not None and self.nodes >= self.node_limit:
             self.exhausted = True
-        elif self.deadline is not None and self.nodes % 256 == 0:
-            if time.monotonic() > self.deadline:
-                self.exhausted = True
+        elif (
+            self.deadline is not None
+            and self.nodes % 256 == 255
+            and time.monotonic() > self.deadline
+        ):
+            self.exhausted = True
+        else:
+            self.nodes += 1
         return self.exhausted
 
 
 def _search_model(
     params: GroupParams,
     shape: Shape,
-    a: Element,
-    b: Element,
+    a: int,
+    b: int,
     budget: _Budget,
-) -> Optional[Dict[Element, str]]:
+) -> Optional[Dict[int, str]]:
     """Backtracking over one model; returns a full role partition or None.
 
     The model must be non-degenerate (a != b, both nonzero); search checks
     that and calls it only when a, b span the whole group.  None means
     exhausted unless budget.exhausted was set.  The state is four bitsets
-    over group indices: U, the unassigned free cells, and bx, by, bz, the
+    over the element indices: U, the unassigned free cells, and bx, by, bz, the
     cells where role x, y or z would reuse a consumed edge label.  A node
     fails when some cell has no legal role or some role has fewer legal cells
     than its quota.  Otherwise it branches on the cell with the fewest legal
     roles, ties to the lowest canonical index, and tries roles x, y, z.
     """
-    zero = params.zero
-    free: List[Element] = [v for v in group.elements(params) if v not in (zero, a, b)]
+    free = [v for v in range(params.order) if v not in (0, a, b)]
     _, lab_bit = labeling.role_label_bits(params, a, b, free)
-    idx = params.index
     # blocks[L][r]: the cells where role r would put label L on an edge
     blocks = [[0, 0, 0] for _ in range(params.order)]
     for v in free:
         for r, bit in enumerate(lab_bit[v]):
-            blocks[bit.bit_length() - 1][r] |= 1 << idx(v)
-    # moves[i][r]: what role r at cell i adds to (bx, by, bz)
+            blocks[bit.bit_length() - 1][r] |= 1 << v
+    # moves[v][r]: what role r at cell v adds to (bx, by, bz)
     moves = {
-        idx(v): tuple(tuple(blocks[bit.bit_length() - 1]) for bit in lab_bit[v])
+        v: tuple(tuple(blocks[bit.bit_length() - 1]) for bit in lab_bit[v])
         for v in free
     }
-    bx, by, bz = (blocks[idx(a)][r] | blocks[idx(b)][r] for r in range(3))
+    bx, by, bz = (blocks[a][r] | blocks[b][r] for r in range(3))
     quotas = list(shape.h)
     role_of = [0] * params.order
 
@@ -170,29 +179,31 @@ def _search_model(
             quotas[r] += 1
         return False
 
-    if backtrack(sum(1 << idx(v) for v in free), bx, by, bz):
-        part: Dict[Element, str] = {a: labeling.S1, zero: labeling.S2, b: labeling.S3}
+    if backtrack(sum(1 << v for v in free), bx, by, bz):
+        part = {a: labeling.S1, 0: labeling.S2, b: labeling.S3}
         for v in free:
-            part[v] = labeling.HAIR_ROLES[role_of[idx(v)]]
+            part[v] = labeling.HAIR_ROLES[role_of[v]]
         return part
     return None
 
 
-def _spans_group(params: GroupParams, a: Element, b: Element) -> bool:
+def _spans_group(params: GroupParams, a: int, b: int) -> bool:
     """Whether the nonzero elements a, b generate the whole group."""
     if params.k == 1:
         return True
-    return params.k == 2 and (a[0] * b[1] - a[1] * b[0]) % params.p != 0
+    (a0, a1), (b0, b1) = divmod(a, params.p), divmod(b, params.p)
+    return params.k == 2 and (a0 * b1 - a1 * b0) % params.p != 0
 
 
 def search(
     params: GroupParams,
     shape: Shape,
     budget: Optional[SearchBudget] = None,
-    models: Optional[Sequence[Tuple[Element, Element]]] = None,
+    models: Optional[Sequence[Tuple[int, int]]] = None,
 ) -> OracleVerdict:
     """Decide realizability of the shape model by model (the canonical spine
-    models unless ``models`` is given); see the module docstring.
+    models unless ``models``, pairs of element indices, is given); see the
+    module docstring.
 
     Raises OrderLimitError above MAX_ORDER."""
     from . import constructor  # local import: constructor imports this module
@@ -206,10 +217,10 @@ def search(
     h1, _, h3 = shape.h
     tried: List[Tuple[Element, Element]] = []
     for a, b in models:
-        tried.append((a, b))
-        if a == b or params.zero in (a, b):
+        tried.append((params.element(a), params.element(b)))
+        if a == b or 0 in (a, b):
             continue  # degenerate model: two spine vertices share a label
-        missing = tuple(-(h1 * x + h3 * y) % params.p for x, y in zip(a, b))
+        missing = group.add(params, group.scale(params, -h1, a), group.scale(params, -h3, b))
         if missing in (a, b):
             continue
         if _spans_group(params, a, b):

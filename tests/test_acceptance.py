@@ -11,12 +11,15 @@ from rainbowcat import constructor, group, labeling, oracle
 from rainbowcat.group import GroupParams
 from rainbowcat.labeling import HAIR_ROLES, S1, S2, S3, X, Y, Z
 from testkit import (
+    TupleGroup,
     apply_automorphism,
     check_forbidden,
     enumerate_table,
+    index_keys,
     matrix_is_invertible,
     naive_models,
     translate,
+    tuple_models,
 )
 
 
@@ -122,14 +125,14 @@ def test_criterion_5_fa_equivalence_exhaustive_3_2():
     start = time.monotonic()
     params = GroupParams(3, 2)
     free_template = [e for e in group.elements(params)]
-    for a, b in oracle.canonical_models(params):
+    for a, b in tuple_models(params, oracle.canonical_models(params)):
         free = [e for e in free_template if e not in (params.zero, a, b)]
         for roles in itertools.product(HAIR_ROLES, repeat=len(free)):
             part = {a: S1, params.zero: S2, b: S3}
             part.update(zip(free, roles))
             counts = (roles.count(X), roles.count(Y), roles.count(Z))
             shape = labeling.make_shape(params, counts)
-            lab = labeling.partition_to_labeling(params, shape, part)
+            lab = labeling.partition_to_labeling(params, shape, index_keys(params, part))
             fa_clean = check_forbidden(params, (a, b), part) == []
             assert fa_clean == labeling.verify(params, shape, lab).valid, (a, b, roles)
     assert time.monotonic() - start < 60.0
@@ -138,18 +141,19 @@ def test_criterion_5_fa_equivalence_exhaustive_3_2():
 def test_criterion_6_structural_invariants_3_2():
     start = time.monotonic()
     params = GroupParams(3, 2)
+    tg = TupleGroup(params)
     e1, e2 = (1, 0), (0, 1)
     for a, b in (((1, 0), (2, 0)), (e1, e2)):
-        in_span = b in group.span(params, [a])
-        subgroup = group.span(params, [a, b])
-        regular = group.cosets(params, subgroup)[1:]
+        in_span = b in tg.span([a])
+        subgroup = tg.span([a, b])
+        regular = tg.cosets(subgroup)[1:]
         free = [e for e in group.elements(params) if e not in (params.zero, a, b)]
         for roles in itertools.product(HAIR_ROLES, repeat=len(free)):
             part = {a: S1, params.zero: S2, b: S3}
             part.update(zip(free, roles))
             counts = (roles.count(X), roles.count(Y), roles.count(Z))
             shape = labeling.make_shape(params, counts)
-            lab = labeling.partition_to_labeling(params, shape, part)
+            lab = labeling.partition_to_labeling(params, shape, index_keys(params, part))
             if not labeling.verify(params, shape, lab).valid:
                 continue
             if in_span:

@@ -139,6 +139,7 @@ class TestOracle:
         )
         assert code == 3
         assert out.startswith("budgeted")
+        assert out.startswith("budgeted nodes=10 ")
 
     def test_order_at_limit_searches(self, capsys):
         # Z_2^9 has order 512 = MAX_ORDER; its only canonical model spans a

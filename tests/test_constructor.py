@@ -21,7 +21,7 @@ from rainbowcat.errors import (
 )
 from rainbowcat.group import GroupParams
 from rainbowcat.labeling import S1, S2, S3, X, Y, Z
-from testkit import check_forbidden
+from testkit import TupleGroup, check_forbidden, model_param, tuple_keys
 
 
 def shp(p, k, h):
@@ -68,13 +68,14 @@ def _fa_check_pattern(p, pattern, a_scalar, b_scalar, spine=True):
     coset e2 + <e1>.  Returns the violation list.
     """
     params = GroupParams(p, 2)
+    tg = TupleGroup(params)
     e1, e2 = (1, 0), (0, 1)
-    a = group.scale(params, a_scalar, e1)
-    b = group.scale(params, b_scalar, e1)
+    a = tg.scale(a_scalar, e1)
+    b = tg.scale(b_scalar, e1)
     part = {a: S1, params.zero: S2, b: S3}
     offset = params.zero if spine else e2
     for m, role in enumerate(pattern):
-        v = group.add(params, offset, group.scale(params, m, e1))
+        v = tg.add(offset, tg.scale(m, e1))
         if role in (S1, S2, S3):
             assert part[{"s1": a, "s2": params.zero, "s3": b}[role]] == role
         else:
@@ -194,7 +195,7 @@ class TestPlanning:
     def test_base_case_k1(self):
         params = GroupParams(7, 1)
         plan = constructor.plan_components(params, shp(7, 1, (2, 1, 1)))
-        assert plan.model == ((2,), (4,))
+        assert tuple(map(params.element, plan.model)) == ((2,), (4,))
         assert plan.spine_triple == (2, 1, 1)
         assert plan.mixed == ()
 
@@ -211,7 +212,7 @@ class TestPlanning:
 
     def test_debug_dump_shape(self):
         params = GroupParams(5, 2)
-        d = constructor.plan_components(params, shp(5, 2, (9, 4, 9))).to_debug_dict()
+        d = constructor.plan_components(params, shp(5, 2, (9, 4, 9))).to_debug_dict(params)
         assert set(d) == {"model", "generator", "reflected", "spine", "mixed", "uniform"}
 
 
@@ -272,7 +273,7 @@ class TestConstruct:
         params = GroupParams(2, 2)
         lab = constructor.construct(params, shp(2, 2, (0, 1, 0)))
         a, _, b = lab.spine
-        assert lab.y == (group.add(params, a, b),)
+        assert lab.y == (TupleGroup(params).add(a, b),)
 
     def test_infeasible_raises_with_verdict(self):
         params = GroupParams(5, 2)
@@ -353,9 +354,10 @@ class TestConstruct:
 
 def _brute_force_menu(params, a, b, spine):
     """Lex-first clean assignment per role-count triple, by trying every role
-    tuple against check_forbidden.  The regular component is placed
-    on the coset e_{k+1} + <a,b> of Z_p^(k+1), away from the spine."""
-    cells = group.span(params, [a, b])
+    tuple against check_forbidden, on tuple elements.  The regular component
+    is placed on the coset e_{k+1} + <a,b> of Z_p^(k+1), away from the spine."""
+    a, b = params.element(a), params.element(b)
+    cells = TupleGroup(params).span([a, b])
     if spine:
         host, place = params, lambda c: c
         free = [c for c in cells if c not in (a, params.zero, b)]
@@ -379,7 +381,7 @@ def _menu_models():
         params = GroupParams(p, k)
         models = oracle.canonical_models(params)
         for a, b in models[:-1] if cyclic_only else models:
-            yield pytest.param(params, a, b, id=f"Z{p}^{k}-a{''.join(map(str, a))}-b{''.join(map(str, b))}")
+            yield model_param(params, a, b)
 
 
 class TestBlockMenus:
@@ -388,7 +390,8 @@ class TestBlockMenus:
     def test_menu_matches_brute_force(self, params, a, b, spine):
         cells = tuple(group.span(params, [a, b]))
         menu = constructor._component_patterns(params, a, b, cells, spine)
-        assert menu == _brute_force_menu(params, a, b, spine)
+        tuple_menu = {t: tuple_keys(params, m) for t, m in menu.items()}
+        assert tuple_menu == _brute_force_menu(params, a, b, spine)
 
 
 def _decompose_models():
@@ -397,7 +400,7 @@ def _decompose_models():
         for a, b in oracle.canonical_models(params):
             if p >= 5 and b not in group.span(params, [a]):
                 continue
-            yield pytest.param(params, a, b, id=f"Z{p}^{k}-a{''.join(map(str, a))}-b{''.join(map(str, b))}")
+            yield model_param(params, a, b)
 
 
 class TestDecompose:

@@ -1,14 +1,19 @@
-"""Group arithmetic, span/coset structure, and the element-index bijection."""
+"""Group arithmetic, span/coset structure, and the element-index bijection.
 
+The package computes on integer indices; the tests written in coordinates go
+through testkit.TupleGroup.
+"""
+
+import re
 import time
 
 import pytest
 from hypothesis import given, strategies as st
 
-from rainbowcat import group
+from rainbowcat import group, oracle
 from rainbowcat.errors import InvalidElementError
 from rainbowcat.group import GroupParams
-from testkit import apply_matrix, matrix_is_invertible
+from testkit import TupleGroup, apply_matrix, matrix_is_invertible
 
 PARAMS = [GroupParams(2, 2), GroupParams(2, 3), GroupParams(3, 2), GroupParams(5, 1)]
 
@@ -82,98 +87,165 @@ class TestGroupParams:
 
 class TestArithmetic:
     def test_add_examples(self):
-        assert group.add(GroupParams(3, 2), (1, 2), (2, 2)) == (0, 1)
-        assert group.add(GroupParams(5, 1), (4,), (1,)) == (0,)
-        assert group.add(GroupParams(2, 3), (1, 0, 1), (1, 0, 1)) == (0, 0, 0)
+        assert TupleGroup(GroupParams(3, 2)).add((1, 2), (2, 2)) == (0, 1)
+        assert TupleGroup(GroupParams(5, 1)).add((4,), (1,)) == (0,)
+        assert TupleGroup(GroupParams(2, 3)).add((1, 0, 1), (1, 0, 1)) == (0, 0, 0)
 
     def test_add_rejects_bad_element(self):
+        # group.add takes indices; a tuple is validated on its way in
         with pytest.raises(InvalidElementError):
-            group.add(GroupParams(3, 2), (1, 2), (1, 2, 0))
+            TupleGroup(GroupParams(3, 2)).add((1, 2), (1, 2, 0))
         with pytest.raises(InvalidElementError):
-            group.add(GroupParams(3, 2), (1, 3), (0, 0))
+            TupleGroup(GroupParams(3, 2)).add((1, 3), (0, 0))
 
     def test_scale_examples(self):
-        assert group.scale(GroupParams(5, 1), 2, (3,)) == (1,)
-        assert group.scale(GroupParams(3, 2), 0, (1, 2)) == (0, 0)
-        assert group.scale(GroupParams(7, 1), 6, (1,)) == (6,)
+        assert TupleGroup(GroupParams(5, 1)).scale(2, (3,)) == (1,)
+        assert TupleGroup(GroupParams(3, 2)).scale(0, (1, 2)) == (0, 0)
+        assert TupleGroup(GroupParams(7, 1)).scale(6, (1,)) == (6,)
 
     @given(params_and_elem(2))
     def test_add_commutative(self, t):
         prm, e1, e2 = t
-        assert group.add(prm, e1, e2) == group.add(prm, e2, e1)
+        tg = TupleGroup(prm)
+        assert tg.add(e1, e2) == tg.add(e2, e1)
 
     @given(params_and_elem(3))
     def test_add_associative(self, t):
         prm, e1, e2, e3 = t
-        lhs = group.add(prm, group.add(prm, e1, e2), e3)
-        assert lhs == group.add(prm, e1, group.add(prm, e2, e3))
+        tg = TupleGroup(prm)
+        lhs = tg.add(tg.add(e1, e2), e3)
+        assert lhs == tg.add(e1, tg.add(e2, e3))
 
     @given(params_and_elem())
     def test_identity_and_inverse(self, t):
         prm, e = t
-        assert group.add(prm, e, prm.zero) == e
-        assert group.add(prm, e, group.neg(prm, e)) == prm.zero
-        assert group.sub(prm, e, e) == prm.zero
+        tg = TupleGroup(prm)
+        assert tg.add(e, prm.zero) == e
+        assert tg.add(e, tg.neg(e)) == prm.zero
+        assert tg.sub(e, e) == prm.zero
 
     @given(params_and_elem(), st.integers(-10, 10), st.integers(-10, 10))
     def test_scale_additive_in_scalar(self, t, c1, c2):
         prm, e = t
-        assert group.scale(prm, c1 + c2, e) == group.add(
-            prm, group.scale(prm, c1, e), group.scale(prm, c2, e)
-        )
+        tg = TupleGroup(prm)
+        assert tg.scale(c1 + c2, e) == tg.add(tg.scale(c1, e), tg.scale(c2, e))
+
+
+_EXHAUSTIVE = [GroupParams(2, 3), GroupParams(3, 2), GroupParams(3, 3), GroupParams(5, 2), GroupParams(7, 1)]
+
+
+def _group_id(prm):
+    return f"Z{prm.p}^{prm.k}"
+
+
+@pytest.mark.parametrize("prm", _EXHAUSTIVE, ids=_group_id)
+class TestIndexArithmetic:
+    """The operations on indices against coordinate-wise arithmetic, on
+    every element and every pair."""
+
+    def test_pairs_match_coordinates(self, prm):
+        p, elems = prm.p, group.elements(prm)
+        for i, a in enumerate(elems):
+            for j, b in enumerate(elems):
+                assert elems[group.add(prm, i, j)] == tuple((x + y) % p for x, y in zip(a, b))
+                assert elems[group.sub(prm, i, j)] == tuple((x - y) % p for x, y in zip(a, b))
+            assert group.translate(prm, i, range(prm.order)) == [
+                group.add(prm, i, j) for j in range(prm.order)
+            ]
+
+    def test_neg_and_scale_match_coordinates(self, prm):
+        p, elems = prm.p, group.elements(prm)
+        for i, a in enumerate(elems):
+            assert elems[group.neg(prm, i)] == tuple(-x % p for x in a)
+            for c in range(-p, 2 * p):
+                assert elems[group.scale(prm, c, i)] == tuple(c * x % p for x in a)
+
+    def test_index_element_roundtrip(self, prm):
+        elems = group.elements(prm)
+        assert [prm.index(e) for e in elems] == list(range(prm.order))
+        assert [prm.element(i) for i in range(prm.order)] == list(elems)
+        assert group.indices(prm, elems) == list(range(prm.order))
+
+    def test_indices_raise_on_first_invalid(self, prm):
+        elems = list(group.elements(prm))
+        for bad in ((prm.p,) + elems[1][1:], (-1,) * prm.k, elems[1] + (0,)):
+            with pytest.raises(InvalidElementError, match=re.escape(repr(bad))):
+                group.indices(prm, elems[:2] + [bad, (prm.p,) * (prm.k + 1)])
+
+
+def _coset_cases():
+    for p, k in ((2, 4), (3, 3), (5, 2)):
+        prm = GroupParams(p, k)
+        for a, b in oracle.canonical_models(prm):
+            yield pytest.param(prm, [a, b], id=f"Z{p}^{k}-{a}-{b}")
+    prm = GroupParams(2, 3)
+    yield pytest.param(prm, [prm.index((1, 1, 0))], id="Z2^3-110")
+
+
+@pytest.mark.parametrize("prm, gens", _coset_cases())
+def test_cosets_layout_on_indices(prm, gens):
+    comps = group.cosets(prm, gens)
+    assert comps[0] == group.span(prm, gens)
+    mins = [min(c) for c in comps]
+    assert mins[0] == 0 and mins == sorted(mins)
+    for comp in comps:
+        assert comp == [group.add(prm, min(comp), h) for h in comps[0]]
+    assert sorted(v for comp in comps for v in comp) == list(range(prm.order))
 
 
 class TestSpan:
     def test_span_examples(self):
-        prm = GroupParams(3, 2)
-        assert group.span(prm, [(0, 1)]) == [(0, 0), (0, 1), (0, 2)]
-        assert len(group.span(prm, [(0, 1), (1, 0)])) == 9
-        prm2 = GroupParams(2, 3)
-        assert group.span(prm2, [(1, 1, 0)]) == [(0, 0, 0), (1, 1, 0)]
+        tg = TupleGroup(GroupParams(3, 2))
+        assert tg.span([(0, 1)]) == [(0, 0), (0, 1), (0, 2)]
+        assert len(tg.span([(0, 1), (1, 0)])) == 9
+        tg2 = TupleGroup(GroupParams(2, 3))
+        assert tg2.span([(1, 1, 0)]) == [(0, 0, 0), (1, 1, 0)]
 
     @given(params_and_elem())
     def test_span_of_nonzero_has_order_p(self, t):
         prm, e = t
         if e != prm.zero:
-            assert len(group.span(prm, [e])) == prm.p
+            assert len(TupleGroup(prm).span([e])) == prm.p
 
 
 class TestCosets:
     def test_coset_examples(self):
-        prm = GroupParams(3, 2)
-        comps = group.cosets(prm, group.span(prm, [(0, 1)]))
+        tg = TupleGroup(GroupParams(3, 2))
+        comps = tg.cosets(tg.span([(0, 1)]))
         assert len(comps) == 3
         assert all(len(c) == 3 for c in comps)
         assert (0, 0) in comps[0]
 
-        prm5 = GroupParams(5, 1)
-        assert len(group.cosets(prm5, group.span(prm5, [(1,)]))) == 1
+        tg5 = TupleGroup(GroupParams(5, 1))
+        assert len(tg5.cosets(tg5.span([(1,)]))) == 1
 
-        prm22 = GroupParams(2, 2)
-        whole = group.span(prm22, [(1, 0), (0, 1)])
-        assert len(group.cosets(prm22, whole)) == 1
+        tg22 = TupleGroup(GroupParams(2, 2))
+        whole = tg22.span([(1, 0), (0, 1)])
+        assert len(tg22.cosets(whole)) == 1
 
     def test_cosets_partition_group(self):
         prm = GroupParams(2, 3)
-        comps = group.cosets(prm, group.span(prm, [(1, 1, 0)]))
+        tg = TupleGroup(prm)
+        comps = tg.cosets(tg.span([(1, 1, 0)]))
         flat = [e for c in comps for e in c]
         assert sorted(flat) == sorted(group.elements(prm))
         assert len(set(flat)) == len(flat)
 
     def test_cosets_list_min_plus_subgroup(self):
         prm = GroupParams(5, 2)
+        tg = TupleGroup(prm)
         for gens in ([(1, 2)], [(1, 0), (2, 0)], [(0, 1), (1, 0)]):
-            comps = group.cosets(prm, gens)
-            assert comps[0] == group.span(prm, gens)
+            comps = tg.cosets(gens)
+            assert comps[0] == tg.span(gens)
             mins = [min(c) for c in comps]
             assert mins[0] == prm.zero and mins[1:] == sorted(mins[1:])
             for comp in comps:
-                assert comp == [group.add(prm, min(comp), h) for h in comps[0]]
+                assert comp == [tg.add(min(comp), h) for h in comps[0]]
 
     def test_span_of_subgroup_gives_same_cosets(self):
-        prm = GroupParams(3, 2)
-        sub = group.span(prm, [(1, 2)])
-        assert group.cosets(prm, sub) == group.cosets(prm, [(1, 2)])
+        tg = TupleGroup(GroupParams(3, 2))
+        sub = tg.span([(1, 2)])
+        assert tg.cosets(sub) == tg.cosets([(1, 2)])
 
 
 class TestMatrices:

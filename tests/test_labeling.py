@@ -10,7 +10,14 @@ from rainbowcat import constructor, group, labeling, oracle
 from rainbowcat.errors import InvalidShapeError, PartitionShapeMismatchError, RainbowError
 from rainbowcat.group import GroupParams
 from rainbowcat.labeling import S1, S2, S3, X, Y, Z
-from testkit import ModelMismatchError, apply_automorphism, check_forbidden, translate
+from testkit import (
+    ModelMismatchError,
+    TupleGroup,
+    apply_automorphism,
+    check_forbidden,
+    index_keys,
+    translate,
+)
 
 
 def _feasible_labelings(pairs=((3, 2), (2, 3))):
@@ -56,7 +63,7 @@ class TestPartitionCorrespondence:
         params = GroupParams(2, 2)
         part = {(1, 0): S1, (0, 0): S2, (0, 1): S3, (1, 1): Y}
         shape = labeling.make_shape(params, (0, 1, 0))
-        lab = labeling.partition_to_labeling(params, shape, part)
+        lab = labeling.partition_to_labeling(params, shape, index_keys(params, part))
         assert lab.spine == ((1, 0), (0, 0), (0, 1))
         assert lab.y == ((1, 1),)
 
@@ -70,7 +77,7 @@ class TestPartitionCorrespondence:
         part = {(1, 0): S1, (0, 0): S2, (0, 1): S3, (1, 1): Y}
         shape = labeling.make_shape(params, (1, 0, 0))
         with pytest.raises(PartitionShapeMismatchError):
-            labeling.partition_to_labeling(params, shape, part)
+            labeling.partition_to_labeling(params, shape, index_keys(params, part))
 
 
 class TestVerify:
@@ -86,6 +93,9 @@ class TestVerify:
         report = labeling.verify(params, shape, lab)
         assert not report.valid
         assert report.duplicate_edge is not None
+        assert report == labeling.VerifyReport(
+            False, None, (((1,), (0,)), ((2,), (4,))), None
+        )
 
     def test_duplicate_vertex(self):
         params = GroupParams(5, 1)
@@ -94,6 +104,9 @@ class TestVerify:
         report = labeling.verify(params, shape, lab)
         assert not report.valid
         assert report.duplicate_vertex is not None
+        assert report == labeling.VerifyReport(
+            False, ("spine1", "hair x (1,)"), (((0,), (2,)), ((1,), (1,))), None
+        )
 
     def test_hair_counts_must_match_shape(self):
         # a rainbow labeling of (2,5,15) declared as (3,5,14): a bijection
@@ -126,7 +139,7 @@ class TestCheckForbidden:
     def test_x_at_b_minus_a(self):
         params = GroupParams(3, 2)
         a, b = (1, 0), (0, 1)
-        bad = group.sub(params, b, a)
+        bad = TupleGroup(params).sub(b, a)
         part = {a: S1, params.zero: S2, b: S3, bad: X}
         out = check_forbidden(params, (a, b), part)
         assert ("x=b-a", bad) in out
@@ -154,12 +167,13 @@ class TestTransforms:
 
     def test_translate_to_model_form(self):
         params, shape, lab = VALID[0]
+        tg = TupleGroup(params)
         a1, a2, a3 = lab.spine
-        shifted = translate(params, lab, group.neg(params, a2))
+        shifted = translate(params, lab, tg.neg(a2))
         assert shifted.spine == (
-            group.sub(params, a1, a2),
+            tg.sub(a1, a2),
             params.zero,
-            group.sub(params, a3, a2),
+            tg.sub(a3, a2),
         )
 
     def test_reflect_involution_and_shape(self):

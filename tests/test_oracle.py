@@ -4,16 +4,19 @@ import itertools
 
 import pytest
 
-from rainbowcat import group, labeling, oracle
+from rainbowcat import labeling, oracle
 from rainbowcat.group import GroupParams
-from testkit import enumerate_table, naive_models
+from testkit import enumerate_table, model_param, naive_models, tuple_models
 
 
 class TestCanonicalModels:
     def test_counts(self):
         assert len(oracle.canonical_models(GroupParams(5, 2))) == 4
-        assert oracle.canonical_models(GroupParams(2, 2)) == [((1, 0), (0, 1))]
-        assert oracle.canonical_models(GroupParams(3, 1)) == [((1,), (2,))]
+        for params, models in (
+            (GroupParams(2, 2), [((1, 0), (0, 1))]),
+            (GroupParams(3, 1), [((1,), (2,))]),
+        ):
+            assert tuple_models(params, oracle.canonical_models(params)) == models
 
     def test_naive_models_count(self):
         params = GroupParams(2, 2)
@@ -54,6 +57,29 @@ class TestSearch:
         v = oracle.search(params, shape, oracle.SearchBudget(node_limit=10))
         assert v.outcome == oracle.BUDGETED
         assert v.labeling is None
+        # exactly the limit: no node is counted while the search unwinds
+        assert v.nodes == 10
+
+    def test_node_limit_counts_each_descent_once(self):
+        # the search descends node_limit times; every later tick reports the
+        # budget gone and counts nothing
+        params = GroupParams(5, 2)
+        shape = labeling.make_shape(params, (9, 1, 12))
+        a, b = oracle.canonical_models(params)[-1]
+        for limit in (1, 10, 57):
+            budget = oracle._Budget(oracle.SearchBudget(node_limit=limit))
+            tick, descents = budget.tick, []
+
+            def counting_tick():
+                gone = tick()
+                if not gone:
+                    descents.append(budget.nodes)
+                return gone
+
+            budget.tick = counting_tick
+            assert oracle._search_model(params, shape, a, b, budget) is None
+            assert budget.exhausted and budget.nodes == limit
+            assert descents == list(range(1, limit + 1))
 
     def test_infeasible_stable_under_model_order(self):
         params = GroupParams(3, 2)
@@ -66,14 +92,14 @@ class TestSearch:
 def _rainbow_counts(params, a, b):
     """Role counts of every rainbow role assignment of the model [a,0,b],
     by trying all 3^n assignments of the free cells against the verifier."""
-    free = [v for v in group.elements(params) if v not in (params.zero, a, b)]
+    free = [v for v in range(params.order) if v not in (0, a, b)]
     counts = set()
     for roles in itertools.product(labeling.HAIR_ROLES, repeat=len(free)):
         h = tuple(roles.count(r) for r in labeling.HAIR_ROLES)
         if h in counts:
             continue
         shape = labeling.make_shape(params, h)
-        part = {a: labeling.S1, params.zero: labeling.S2, b: labeling.S3}
+        part = {a: labeling.S1, 0: labeling.S2, b: labeling.S3}
         part.update(zip(free, roles))
         lab = labeling.partition_to_labeling(params, shape, part)
         if labeling.verify(params, shape, lab).valid:
@@ -81,17 +107,11 @@ def _rainbow_counts(params, a, b):
     return counts
 
 
-def _model_param(params, a, b):
-    return pytest.param(
-        params, a, b, id=f"Z{params.p}^{params.k}-a{''.join(map(str, a))}-b{''.join(map(str, b))}"
-    )
-
-
 def _canonical_model_params():
     for p, k in ((2, 3), (3, 2), (7, 1)):
         params = GroupParams(p, k)
         for a, b in oracle.canonical_models(params):
-            yield _model_param(params, a, b)
+            yield model_param(params, a, b)
 
 
 @pytest.mark.parametrize("params, a, b", _canonical_model_params())
@@ -107,19 +127,21 @@ def test_search_model_matches_brute_force(params, a, b):
         # search's decision of the single model, missing-label prune included
         verdict = oracle.search(params, shape, models=[(a, b)])
         assert (verdict.outcome == oracle.FOUND) == (shape.h in rainbow), shape.h
+    ta, tb = params.element(a), params.element(b)
     for h1, _, h3 in rainbow:
         # the prune never fires on a realizable model
-        missing = tuple(-(h1 * x + h3 * y) % params.p for x, y in zip(a, b))
-        assert missing not in (a, b)
+        missing = tuple(-(h1 * x + h3 * y) % params.p for x, y in zip(ta, tb))
+        assert missing not in (ta, tb)
 
 
 def _decision_cases():
     for p, k in ((2, 3), (2, 4), (3, 2), (5, 2)):
         params = GroupParams(p, k)
         for a, b in oracle.canonical_models(params):
-            yield _model_param(params, a, b)
+            yield model_param(params, a, b)
     # the cyclic model of Z_3^3 costs 14.5 M whole-group nodes; left out
-    yield _model_param(GroupParams(3, 3), (1, 0, 0), (0, 1, 0))
+    z33 = GroupParams(3, 3)
+    yield model_param(z33, z33.index((1, 0, 0)), z33.index((0, 1, 0)))
 
 
 @pytest.mark.parametrize("params, a, b", _decision_cases())

@@ -1,14 +1,72 @@
-"""Helpers that only the tests use: a second, rule-by-rule statement of the
-rainbow constraint, labeling transforms under the group's symmetries, every
-translated spine model (the reference for the canonical reduction), and the
-full predicate-vs-oracle table of a group."""
+"""Helpers that only the tests use: conversions between the package's
+integer elements and the tuples tests are written in, a second, rule-by-rule
+statement of the rainbow constraint, labeling transforms under the group's
+symmetries, every translated spine model (the reference for the canonical
+reduction), and the full predicate-vs-oracle table of a group."""
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+import pytest
 
 from rainbowcat import group, labeling, oracle
 from rainbowcat.errors import RainbowError
 from rainbowcat.group import Element, GroupParams
-from rainbowcat.labeling import S1, S2, S3, X, Y, Z, Labeling, Partition
+from rainbowcat.labeling import S1, S2, S3, X, Y, Z, Labeling
+
+
+class TupleGroup:
+    """The package's group functions on tuple elements, for tests written in
+    coordinates.  Tuples go in through group.indices, which validates them,
+    and results come back through params.element."""
+
+    def __init__(self, params: GroupParams):
+        self.params = params
+
+    def ix(self, e: Element) -> int:
+        return group.indices(self.params, [e])[0]
+
+    def add(self, a: Element, b: Element) -> Element:
+        return self.params.element(group.add(self.params, self.ix(a), self.ix(b)))
+
+    def sub(self, a: Element, b: Element) -> Element:
+        return self.params.element(group.sub(self.params, self.ix(a), self.ix(b)))
+
+    def neg(self, a: Element) -> Element:
+        return self.params.element(group.neg(self.params, self.ix(a)))
+
+    def scale(self, c: int, a: Element) -> Element:
+        return self.params.element(group.scale(self.params, c, self.ix(a)))
+
+    def span(self, gens: Sequence[Element]) -> List[Element]:
+        return [self.params.element(v) for v in group.span(self.params, map(self.ix, gens))]
+
+    def cosets(self, gens: Sequence[Element]) -> List[List[Element]]:
+        comps = group.cosets(self.params, [self.ix(g) for g in gens])
+        return [[self.params.element(v) for v in comp] for comp in comps]
+
+
+def index_keys(params: GroupParams, d: Dict[Element, object]) -> Dict[int, object]:
+    """A mapping keyed by tuple elements, keyed by index (a role partition)."""
+    return {group.indices(params, [e])[0]: v for e, v in d.items()}
+
+
+def tuple_keys(params: GroupParams, d: Dict[int, object]) -> Dict[Element, object]:
+    """A mapping keyed by index (a role partition or menu entry), keyed by
+    tuple element."""
+    return {params.element(v): x for v, x in d.items()}
+
+
+def tuple_models(params: GroupParams, models: Iterable[Tuple[int, int]]) -> List[Tuple[Element, Element]]:
+    return [(params.element(a), params.element(b)) for a, b in models]
+
+
+def model_param(params: GroupParams, a: int, b: int):
+    """pytest.param of (params, a, b) for the spine model of indices a, b,
+    named by its coordinates: Z3^2-a10-b20."""
+    ta, tb = params.element(a), params.element(b)
+    return pytest.param(
+        params, a, b, id=f"Z{params.p}^{params.k}-a{''.join(map(str, ta))}-b{''.join(map(str, tb))}"
+    )
 
 
 class ModelMismatchError(RainbowError, ValueError):
@@ -18,8 +76,11 @@ class ModelMismatchError(RainbowError, ValueError):
 Violation = Tuple[str, Element]
 
 
-def check_forbidden(params: GroupParams, model: Tuple[Element, Element], part: Partition) -> List[Violation]:
-    """Forbidden assignments in the model [a,0,b].
+def check_forbidden(
+    params: GroupParams, model: Tuple[Element, Element], part: Dict[Element, str]
+) -> List[Violation]:
+    """Forbidden assignments in the model [a,0,b], on a role partition keyed
+    by tuple elements.
 
     Violations: X at b-a; Z at a-b; X at u with Y at u+a; Z at u with Y at u+b;
     Z at u with X at u+(b-a).  Empty result is equivalent to verifier validity
@@ -29,21 +90,22 @@ def check_forbidden(params: GroupParams, model: Tuple[Element, Element], part: P
     if part.get(a) != S1 or part.get(params.zero) != S2 or part.get(b) != S3:
         raise ModelMismatchError("spine roles must sit at a, 0, b")
 
-    b_minus_a = group.sub(params, b, a)
+    tg = TupleGroup(params)
+    b_minus_a = tg.sub(b, a)
     out: List[Violation] = []
     if part.get(b_minus_a) == X:
         out.append(("x=b-a", b_minus_a))
-    a_minus_b = group.sub(params, a, b)
+    a_minus_b = tg.sub(a, b)
     if part.get(a_minus_b) == Z:
         out.append(("z=a-b", a_minus_b))
     for u in sorted(part):
         role = part[u]
-        if role == X and part.get(group.add(params, u, a)) == Y:
+        if role == X and part.get(tg.add(u, a)) == Y:
             out.append(("x->a->y", u))
         elif role == Z:
-            if part.get(group.add(params, u, b)) == Y:
+            if part.get(tg.add(u, b)) == Y:
                 out.append(("z->b->y", u))
-            if part.get(group.add(params, u, b_minus_a)) == X:
+            if part.get(tg.add(u, b_minus_a)) == X:
                 out.append(("z->(b-a)->x", u))
     return out
 
@@ -59,8 +121,8 @@ def _map_labels(lab: Labeling, f) -> Labeling:
 
 def translate(params: GroupParams, lab: Labeling, c: Element) -> Labeling:
     """Shift every vertex label by c; validity is preserved."""
-    params.validate(c)
-    return _map_labels(lab, lambda e: group.add(params, e, c))
+    tg = TupleGroup(params)
+    return _map_labels(lab, lambda e: tg.add(e, c))
 
 
 def matrix_is_invertible(M: Sequence[Sequence[int]], p: int) -> bool:
@@ -105,11 +167,12 @@ def enumerate_table(
         yield oracle.table_row(params, shape, budget_per_shape, cross_check)
 
 
-def naive_models(params: GroupParams) -> List[Tuple[Element, Element]]:
-    """Translated forms (a1-a2, a3-a2) of every distinct spine triple, the
-    reference that oracle.canonical_models is checked against."""
+def naive_models(params: GroupParams) -> List[Tuple[int, int]]:
+    """Translated forms (a1-a2, a3-a2) of every distinct spine triple, as
+    index pairs: the reference that oracle.canonical_models is checked
+    against."""
     out = []
-    elems = group.elements(params)
+    elems = range(params.order)
     for a1 in elems:
         for a2 in elems:
             if a2 == a1:
