@@ -167,11 +167,12 @@ def cmd_verify(args) -> int:
         else:
             with open(args.input) as fh:
                 payload = fh.read()
-        data = json.loads(payload)
-        params, shape, lab = labeling.labeling_from_dict(data)
+        params, shape, lab = labeling.labeling_from_dict(json.loads(payload))
     except (OSError, json.JSONDecodeError, RainbowError, ValueError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
+    # verify tables every group element; the raw payload is no longer needed
+    del payload
     try:
         report = labeling.verify(params, shape, lab)
     except RainbowError as exc:

@@ -17,9 +17,10 @@ So at p >= 5 every feasible shape takes a recipe or the empty-X twin.  Only
 p in {2,3} walks the oracle's canonical spine models (small_p_patterns).
 Each model is decided by per-coset pattern menus, found by a depth-first
 search on the shared edge-label bits (labeling.role_label_bits), and a
-decomposition of the hair counts into menu triples that searches
-breadth-first by residue class (_decompose).  construct refuses groups of
-order above MAX_ORDER, after the closed-form verdict.
+decomposition of the hair counts into menu triples (_decompose): a lookup
+in a table, filled once per menu, of the minimal sums of its mixed triples
+per residue class (|H| sums), completed with uniform blocks.  construct
+refuses groups of order above MAX_ORDER, after the closed-form verdict.
 
 Models, generators, cosets and role maps hold elements as integer indices
 (see group); the Labeling construct returns holds tuples.
@@ -475,49 +476,59 @@ def _component_patterns(
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _menu_sums(
+    triples: Tuple[Tuple[int, int, int], ...],
+) -> Dict[Tuple[int, int, int], List[Tuple]]:
+    """The minimal sums of a regular menu's mixed triples per residue class
+    (s mod n coordinate-wise, n = |H|), for _decompose: breadth-first by the
+    number of mixed blocks, a sum is kept unless an earlier kept sum of its
+    class lies below it.  A class lists (s, mixed blocks of s, last added
+    first) in that order."""
+    n = sum(triples[0])
+    mixed = sorted(t for t in triples if n not in t)
+    zero = (0, 0, 0)
+    table = {zero: [(zero, ())]}
+    frontier = [(zero, ())]
+    while frontier:
+        grown = []
+        for s, blocks in frontier:
+            for tri in mixed:
+                nxt = (s[0] + tri[0], s[1] + tri[1], s[2] + tri[2])
+                cls = table.setdefault((nxt[0] % n, nxt[1] % n, nxt[2] % n), [])
+                if any(o[0] <= nxt[0] and o[1] <= nxt[1] and o[2] <= nxt[2] for o, _ in cls):
+                    continue
+                entry = (nxt, (tri,) + blocks)
+                cls.append(entry)
+                grown.append(entry)
+        frontier = grown
+    return table
+
+
 def _decompose(
     target: Tuple[int, int, int],
     triples: Sequence[Tuple[int, int, int]],
-    blocks: int,
 ) -> Optional[List[Tuple[int, int, int]]]:
-    """Write target as a sum of exactly ``blocks`` triples of a regular menu.
+    """Write target as a sum of sum(target)/n triples of a regular menu, or
+    return None.  The uniform triples (n,0,0), (0,n,0), (0,0,n) are in every
+    menu (a + C = C for a in H), so the first s <= target of the target's
+    class in the menu's table (_menu_sums, filled once) is completed with
+    them.
 
-    Every triple sums to n = |H|, and the uniform triples (n,0,0), (0,n,0),
-    (0,0,n) are always in the menu (a + C = C for a in H), so only the mixed
-    triples need a search.  It runs breadth-first by the number of mixed
-    blocks and keeps, per residue class (s1 mod n, s2 mod n), only the sums
-    that no kept sum lies below in every coordinate: the difference would be
-    uniform blocks.  The first sum s <= target with target - s = 0 (mod n)
-    is completed with uniform blocks.
+    This is the breadth-first search bounded by the target: a kept sum below
+    one <= target is itself <= target, so that search keeps the same sums
+    <= target in the same order.  The table is finite by Dickson's lemma:
+    each class keeps an antichain, since a kept sum lies above no earlier
+    one, and below an earlier one, whose total is at most its own, only if
+    equal to it.  On every canonical menu, up to the 25-cell ones of Z_5^3,
+    it holds exactly |H| sums and fills in under a millisecond.
     """
     n = sum(triples[0])
-    mixed = sorted(t for t in triples if n not in t)
-    parent: Dict[Tuple[int, int, int], Tuple] = {(0, 0, 0): ()}
-    kept: Dict[Tuple[int, int], List[Tuple[int, int, int]]] = {(0, 0): [(0, 0, 0)]}
-    frontier = [(0, 0, 0)]
-    for level in range(blocks + 1):
-        grown = []
-        for s in frontier:
-            if all((t - v) % n == 0 for t, v in zip(target, s)):
-                fx, fy, fz = ((t - v) // n for t, v in zip(target, s))
-                out = [(n, 0, 0)] * fx + [(0, n, 0)] * fy + [(0, 0, n)] * fz
-                while parent[s]:
-                    s, tri = parent[s]
-                    out.append(tri)
-                return out
-            if level == blocks:
-                continue
-            for tri in mixed:
-                nxt = (s[0] + tri[0], s[1] + tri[1], s[2] + tri[2])
-                if any(v > t for v, t in zip(nxt, target)):
-                    continue
-                cls = kept.setdefault((nxt[0] % n, nxt[1] % n), [])
-                if any(all(o <= v for o, v in zip(old, nxt)) for old in cls):
-                    continue
-                cls.append(nxt)
-                parent[nxt] = (s, tri)
-                grown.append(nxt)
-        frontier = grown
+    cls = _menu_sums(tuple(triples)).get((target[0] % n, target[1] % n, target[2] % n), ())
+    for s, mixed in cls:
+        if s[0] <= target[0] and s[1] <= target[1] and s[2] <= target[2]:
+            fx, fy, fz = ((t - v) // n for t, v in zip(target, s))
+            return [(n, 0, 0)] * fx + [(0, n, 0)] * fy + [(0, 0, n)] * fz + list(mixed)
     return None
 
 
@@ -533,7 +544,7 @@ def _construct_by_blocks(params: GroupParams, shape: Shape, a: int, b: int) -> O
         rest = tuple(hv - sv for hv, sv in zip(shape.h, s))
         if any(v < 0 for v in rest):
             continue
-        blocks = _decompose(rest, list(reg_menu), len(comps) - 1)
+        blocks = _decompose(rest, tuple(reg_menu))
         if blocks is None:
             continue
         spine = {a: S1, 0: S2, b: S3, **spine_menu[s]}

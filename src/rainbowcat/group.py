@@ -105,7 +105,18 @@ def elements(params: GroupParams) -> Tuple[Element, ...]:
 def indices(params: GroupParams, elems: Sequence[Element]) -> List[int]:
     """The index of every tuple in ``elems``, validating each: the one way
     from the boundary form into the package.  Raises InvalidElementError for
-    the first invalid element."""
+    the first invalid element.
+
+    The tuples are looked up in a table of every element, built per call and
+    not kept, so a call costs the group's order.  On a miss (an invalid
+    element, or one that cannot be a key, such as a list) the whole input
+    goes through the validating conversion: a range check over every
+    coordinate, then GroupParams.index per element.
+    """
+    try:
+        return list(map(dict(zip(elements(params), range(params.order))).__getitem__, elems))
+    except (KeyError, TypeError):
+        pass
     coords = itertools.chain.from_iterable
     if (
         set(map(len, elems)) != {params.k}

@@ -213,7 +213,8 @@ def missing_edge_label(params: GroupParams, shape: Shape, lab: Labeling) -> Elem
     if not report.valid:
         raise RainbowError("missing_edge_label requires a valid labeling")
     h1, h2, h3 = shape.h
-    a1, a2, a3 = group.indices(params, lab.spine)
+    # verify validated the spine; group.indices would list the whole group
+    a1, a2, a3 = map(params.index, lab.spine)
     acc = 0
     for c, e in ((h1, a1), (h2 + 1, a2), (h3, a3)):
         acc = group.add(params, acc, group.scale(params, c, e))

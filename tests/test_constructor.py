@@ -21,7 +21,7 @@ from rainbowcat.errors import (
 )
 from rainbowcat.group import GroupParams
 from rainbowcat.labeling import S1, S2, S3, X, Y, Z
-from testkit import TupleGroup, check_forbidden, model_param, tuple_keys
+from testkit import TupleGroup, check_forbidden, decompose_bfs, model_param, tuple_keys
 
 
 def shp(p, k, h):
@@ -394,8 +394,9 @@ class TestBlockMenus:
         assert tuple_menu == _brute_force_menu(params, a, b, spine)
 
 
-def _decompose_models():
-    for p, k in ((2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (7, 2)):
+def _decompose_models(groups):
+    """Canonical models of the groups; at p >= 5 the cyclic ones only."""
+    for p, k in groups:
         params = GroupParams(p, k)
         for a, b in oracle.canonical_models(params):
             if p >= 5 and b not in group.span(params, [a]):
@@ -403,8 +404,17 @@ def _decompose_models():
             yield model_param(params, a, b)
 
 
+def _targets(total):
+    for t1 in range(total + 1):
+        for t2 in range(total - t1 + 1):
+            yield (t1, t2, total - t1 - t2)
+
+
 class TestDecompose:
-    @pytest.mark.parametrize("params,a,b", list(_decompose_models()))
+    @pytest.mark.parametrize(
+        "params,a,b",
+        list(_decompose_models(((2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (5, 2), (7, 2)))),
+    )
     def test_matches_brute_force(self, params, a, b):
         comps = group.cosets(params, [a, b])
         menu = constructor._component_patterns(params, a, b, tuple(comps[0]), False)
@@ -413,15 +423,28 @@ class TestDecompose:
             tuple(map(sum, zip((0, 0, 0), *combo)))
             for combo in itertools.combinations_with_replacement(sorted(menu), blocks)
         }
-        total = blocks * n
-        for t1 in range(total + 1):
-            for t2 in range(total - t1 + 1):
-                target = (t1, t2, total - t1 - t2)
-                found = constructor._decompose(target, list(menu), blocks)
-                assert (found is not None) == (target in reachable), target
-                if found is not None:
-                    assert len(found) == blocks and all(t in menu for t in found)
-                    assert tuple(map(sum, zip((0, 0, 0), *found))) == target
+        for target in _targets(blocks * n):
+            found = constructor._decompose(target, tuple(menu))
+            assert (found is not None) == (target in reachable), target
+            if found is not None:
+                assert len(found) == blocks and all(t in menu for t in found)
+                assert tuple(map(sum, zip((0, 0, 0), *found))) == target
+
+    @pytest.mark.parametrize(
+        "params,a,b",
+        list(_decompose_models([(2, k) for k in range(3, 7)] + [(3, 2), (3, 3), (3, 4), (5, 2), (7, 2)])),
+    )
+    def test_matches_reference_search(self, params, a, b):
+        """The table lookup returns the very list, or None, that the
+        breadth-first search bounded by the target returns."""
+        comps = group.cosets(params, [a, b])
+        menu = constructor._component_patterns(params, a, b, tuple(comps[0]), False)
+        blocks, n = len(comps) - 1, len(comps[0])
+        for target in _targets(blocks * n):
+            assert constructor._decompose(target, tuple(menu)) == decompose_bfs(
+                target, list(menu), blocks
+            ), target
+        assert sum(map(len, constructor._menu_sums(tuple(menu)).values())) == n
 
 
 _ISOMORPHISM_GROUPS = [(2, k) for k in range(2, 7)] + [(3, k) for k in range(2, 5)] + [

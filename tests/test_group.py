@@ -172,6 +172,24 @@ class TestIndexArithmetic:
             with pytest.raises(InvalidElementError, match=re.escape(repr(bad))):
                 group.indices(prm, elems[:2] + [bad, (prm.p,) * (prm.k + 1)])
 
+    def test_indices_table_matches_validating_path(self, prm):
+        # a list cannot be a table key, so lists take the validating path
+        elems = list(group.elements(prm))
+        bools = [tuple(map(bool, e)) for e in elems if max(e) <= 1]
+        for case in (elems, bools, []):
+            assert group.indices(prm, case) == group.indices(prm, [list(e) for e in case])
+
+    def test_indices_invalid_raise_for_first(self, prm):
+        valid = group.elements(prm)[1]
+        wrong_length, out_of_range = valid + (0,), (prm.p,) + valid[1:]
+        negative = valid[:-1] + (-1,)
+        for bad in (wrong_length, out_of_range, negative):
+            for case in ([bad], [valid, bad], [valid, bad, (prm.p,) * (prm.k + 1)]):
+                for form in (tuple, list):
+                    message = "^" + re.escape(repr(form(bad))) + " is not an element"
+                    with pytest.raises(InvalidElementError, match=message):
+                        group.indices(prm, [form(e) for e in case])
+
 
 def _coset_cases():
     for p, k in ((2, 4), (3, 3), (5, 2)):

@@ -16,14 +16,18 @@ from rainbowcat.labeling import S1, S2, S3, X, Y, Z, Labeling
 
 class TupleGroup:
     """The package's group functions on tuple elements, for tests written in
-    coordinates.  Tuples go in through group.indices, which validates them,
-    and results come back through params.element."""
+    coordinates.  A tuple goes in through a table of the group's elements
+    built once per instance, and any tuple the table lacks through
+    group.indices, which validates it; results come back through
+    params.element."""
 
     def __init__(self, params: GroupParams):
         self.params = params
+        self._index = {e: i for i, e in enumerate(group.elements(params))}
 
     def ix(self, e: Element) -> int:
-        return group.indices(self.params, [e])[0]
+        i = self._index.get(e)
+        return group.indices(self.params, [e])[0] if i is None else i
 
     def add(self, a: Element, b: Element) -> Element:
         return self.params.element(group.add(self.params, self.ix(a), self.ix(b)))
@@ -47,7 +51,7 @@ class TupleGroup:
 
 def index_keys(params: GroupParams, d: Dict[Element, object]) -> Dict[int, object]:
     """A mapping keyed by tuple elements, keyed by index (a role partition)."""
-    return {group.indices(params, [e])[0]: v for e, v in d.items()}
+    return dict(zip(group.indices(params, list(d)), d.values()))
 
 
 def tuple_keys(params: GroupParams, d: Dict[int, object]) -> Dict[Element, object]:
@@ -182,3 +186,52 @@ def naive_models(params: GroupParams) -> List[Tuple[int, int]]:
                     continue
                 out.append((group.sub(params, a1, a2), group.sub(params, a3, a2)))
     return out
+
+
+def decompose_bfs(
+    target: Tuple[int, int, int],
+    triples: Sequence[Tuple[int, int, int]],
+    blocks: int,
+) -> Optional[List[Tuple[int, int, int]]]:
+    """Write target as a sum of exactly ``blocks`` triples of a regular menu
+    by the breadth-first search bounded by the target: the reference that
+    constructor._decompose, a lookup in a per-menu table, is checked
+    against.
+
+    Every triple sums to n = |H|, and the uniform triples (n,0,0), (0,n,0),
+    (0,0,n) are always in the menu (a + C = C for a in H), so only the mixed
+    triples need a search.  It runs breadth-first by the number of mixed
+    blocks and keeps, per residue class (s1 mod n, s2 mod n), only the sums
+    that no kept sum lies below in every coordinate: the difference would be
+    uniform blocks.  The first sum s <= target with target - s = 0 (mod n)
+    is completed with uniform blocks.
+    """
+    n = sum(triples[0])
+    mixed = sorted(t for t in triples if n not in t)
+    parent: Dict[Tuple[int, int, int], Tuple] = {(0, 0, 0): ()}
+    kept: Dict[Tuple[int, int], List[Tuple[int, int, int]]] = {(0, 0): [(0, 0, 0)]}
+    frontier = [(0, 0, 0)]
+    for level in range(blocks + 1):
+        grown = []
+        for s in frontier:
+            if all((t - v) % n == 0 for t, v in zip(target, s)):
+                fx, fy, fz = ((t - v) // n for t, v in zip(target, s))
+                out = [(n, 0, 0)] * fx + [(0, n, 0)] * fy + [(0, 0, n)] * fz
+                while parent[s]:
+                    s, tri = parent[s]
+                    out.append(tri)
+                return out
+            if level == blocks:
+                continue
+            for tri in mixed:
+                nxt = (s[0] + tri[0], s[1] + tri[1], s[2] + tri[2])
+                if any(v > t for v, t in zip(nxt, target)):
+                    continue
+                cls = kept.setdefault((nxt[0] % n, nxt[1] % n), [])
+                if any(all(o <= v for o, v in zip(old, nxt)) for old in cls):
+                    continue
+                cls.append(nxt)
+                parent[nxt] = (s, tri)
+                grown.append(nxt)
+        frontier = grown
+    return None
