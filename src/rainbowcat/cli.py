@@ -11,6 +11,8 @@ Exit codes are the machine contract:
 * oracle / table: 2 for groups of order above oracle.MAX_ORDER = 512, which
   the exhaustive search (one recursion level per element) cannot handle
 * verify: 0 valid, 1 invalid, 2 parse error
+* every command: 2 when the reader closes stdout before all output is
+  written (a broken pipe), with no traceback
 
 Data goes to stdout, diagnostics to stderr.
 """
@@ -26,7 +28,7 @@ from typing import List, Optional, Tuple
 
 from . import constructor, group, labeling, oracle
 from .errors import RainbowError
-from .group import Element, GroupParams
+from .group import GroupParams
 from .labeling import HAIR_ROLES, Labeling, Shape
 
 
@@ -50,28 +52,29 @@ def _parse_instance(p: int, k: int, hairs: str) -> Tuple[GroupParams, Shape]:
     return params, shape
 
 
-def _fmt_elem(e: Element) -> str:
-    return "(" + ",".join(str(c) for c in e) + ")"
+def _coords(params: GroupParams, cells) -> List[str]:
+    return group.format_elements(params, cells, ",", "()")
 
 
-def _print_text(params: GroupParams, shape: Shape, lab: Labeling) -> None:
-    print("spine:", " ".join(_fmt_elem(e) for e in lab.spine))
-    for role in HAIR_ROLES:
-        print(f"{role}:", " ".join(_fmt_elem(e) for e in lab.hairs(role)))
+def _text(params: GroupParams, shape: Shape, lab: Labeling) -> str:
+    """The labeling as text; lab must be verified (missing_edge_label)."""
     zeta = labeling.missing_edge_label(params, shape, lab)
-    print("missing:", _fmt_elem(zeta))
+    rows = [("spine", lab.spine_ix)] + [(role, lab.hair_ix(role)) for role in HAIR_ROLES]
+    rows.append(("missing", (zeta,)))
+    return "".join(f"{name}: " + " ".join(_coords(params, cells)) + "\n" for name, cells in rows)
 
 
-def _print_dot(params: GroupParams, shape: Shape, lab: Labeling) -> None:
-    idx = params.index
-    print("graph caterpillar {")
+def _dot(params: GroupParams, lab: Labeling) -> str:
+    names = _coords(params, range(params.order))
     part = labeling.labeling_to_partition(params, lab)
-    for v in sorted(part):
-        print(f'  n{v} [label="{_fmt_elem(params.element(v))}" role="{part[v]}"];')
-    for u, v in labeling._edges(params, lab):
-        s = params.element(group.add(params, idx(u), idx(v)))
-        print(f'  n{idx(u)} -- n{idx(v)} [label="{_fmt_elem(s)}"];')
-    print("}")
+    lines = ["graph caterpillar {"]
+    lines += [f'  n{v} [label="{names[v]}" role="{part[v]}"];' for v in sorted(part)]
+    lines += [
+        f'  n{u} -- n{v} [label="{names[s]}"];'
+        for (u, v), s in zip(labeling._edges(params, lab), labeling.edge_labels(params, lab))
+    ]
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def cmd_label(args) -> int:
@@ -90,11 +93,11 @@ def cmd_label(args) -> int:
         plan = constructor.plan_components(params, twin or shape)
         print(json.dumps(plan.to_debug_dict(params)), file=sys.stderr)
     if args.format == "json":
-        print(json.dumps(labeling.labeling_to_dict(params, shape, lab)))
+        print(labeling.labeling_to_json(params, shape, lab))
     elif args.format == "dot":
-        _print_dot(params, shape, lab)
+        sys.stdout.write(_dot(params, lab))
     else:
-        _print_text(params, shape, lab)
+        sys.stdout.write(_text(params, shape, lab))
     return 0
 
 
@@ -171,7 +174,7 @@ def cmd_verify(args) -> int:
     except (OSError, json.JSONDecodeError, RainbowError, ValueError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    # verify tables every group element; the raw payload is no longer needed
+    # free the raw text before verify allocates its edge labels
     del payload
     try:
         report = labeling.verify(params, shape, lab)
@@ -179,16 +182,15 @@ def cmd_verify(args) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     if report.valid:
-        print(f"valid missing={_fmt_elem(report.missing_edge_label)}")
+        (missing,) = _coords(params, [report.missing_edge_label])
+        print(f"valid missing={missing}")
         return 0
     if report.duplicate_vertex:
         print(f"invalid: duplicate vertex label ({report.duplicate_vertex[0]} and {report.duplicate_vertex[1]})")
     elif report.duplicate_edge:
         (u1, v1), (u2, v2) = report.duplicate_edge
-        print(
-            "invalid: duplicate edge label "
-            f"{_fmt_elem(u1)}--{_fmt_elem(v1)} and {_fmt_elem(u2)}--{_fmt_elem(v2)}"
-        )
+        u1, v1, u2, v2 = _coords(params, [u1, v1, u2, v2])
+        print(f"invalid: duplicate edge label {u1}--{v1} and {u2}--{v2}")
     else:
         print("invalid")
     return 1
@@ -245,7 +247,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at /dev/null so that the
+        # interpreter's last flush of what is still buffered cannot fail too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

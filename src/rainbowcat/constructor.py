@@ -22,8 +22,8 @@ in a table, filled once per menu, of the minimal sums of its mixed triples
 per residue class (|H| sums), completed with uniform blocks.  construct
 refuses groups of order above MAX_ORDER, after the closed-form verdict.
 
-Models, generators, cosets and role maps hold elements as integer indices
-(see group); the Labeling construct returns holds tuples.
+Models, generators, cosets, role maps and the Labeling construct returns
+all hold elements as integer indices (see group).
 """
 
 from __future__ import annotations
@@ -112,11 +112,6 @@ def feasibility(params: GroupParams, shape: Shape) -> FeasibilityVerdict:
 # i.  Spine patterns carry the markers s1/s2/s3 at the spine positions.
 
 
-def _rotate(pat: Sequence[str], start: int) -> Tuple[str, ...]:
-    start %= len(pat)
-    return tuple(pat[-start:] + pat[:-start]) if start else tuple(pat)
-
-
 def realize_spine_symmetric(p: int, alpha: int, beta: int) -> Tuple[str, ...]:
     """Spine-component pattern in the model [a,0,-a] for 2*alpha+beta = p-3."""
     if alpha < 0 or beta < 0 or 2 * alpha + beta != p - 3:
@@ -124,11 +119,11 @@ def realize_spine_symmetric(p: int, alpha: int, beta: int) -> Tuple[str, ...]:
     return (S2, S1) + (Y,) * beta + (X, Z) * alpha + (S3,)
 
 
-def realize_regular_symmetric(p: int, start: int = 0) -> Tuple[str, ...]:
+def realize_regular_symmetric(p: int) -> Tuple[str, ...]:
     """One Y then (p-1)/2 consecutive XZ pairs; realizes ((p-1)/2, 1, (p-1)/2)."""
     if p % 2 == 0:
         raise UnsupportedInstanceError("symmetric regular pattern needs odd p")
-    return _rotate((Y,) + (X, Z) * ((p - 1) // 2), start)
+    return (Y,) + (X, Z) * ((p - 1) // 2)
 
 
 def realize_spine_skew(p: int, alpha: int, gamma: int, r: int) -> Tuple[str, ...]:
@@ -140,11 +135,11 @@ def realize_spine_skew(p: int, alpha: int, gamma: int, r: int) -> Tuple[str, ...
     return (S2, S1, S3) + (Y,) * r + (X,) * alpha + (Z, Y) * gamma
 
 
-def realize_regular_skew(p: int, j: int, start: int = 0) -> Tuple[str, ...]:
+def realize_regular_skew(p: int, j: int) -> Tuple[str, ...]:
     """j consecutive ZY pairs then p-2j X's; realizes (p-2j, j, j)."""
     if not 0 <= j <= (p - 1) // 2:
         raise ValueError(f"j={j} out of range for p={p}")
-    return _rotate((Z, Y) * j + (X,) * (p - 2 * j), start)
+    return (Z, Y) * j + (X,) * (p - 2 * j)
 
 
 def realize_spine_general(p: int, a_prime: int, b_prime: int, variant: str = "base") -> Tuple[str, ...]:
@@ -188,13 +183,12 @@ def realize_spine_general(p: int, a_prime: int, b_prime: int, variant: str = "ba
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def realize_regular_general(p: int, a_prime: int, b_prime: int, start: int = 0) -> Tuple[str, ...]:
+def realize_regular_general(p: int, a_prime: int, b_prime: int) -> Tuple[str, ...]:
     """Regular-cycle pattern realizing (p-b', b'-a', a'+1) counts, i.e. one more
     of each role than the base spine pattern."""
     if not 1 <= a_prime < b_prime <= p - 1:
         raise ValueError(f"need 1 <= a' < b' <= p-1, got a'={a_prime} b'={b_prime}")
-    pat = (X,) + (Z,) * a_prime + (Y,) * (b_prime - a_prime) + (X,) * (p - 1 - b_prime)
-    return _rotate(pat, start)
+    return (X,) + (Z,) * a_prime + (Y,) * (b_prime - a_prime) + (X,) * (p - 1 - b_prime)
 
 
 def pattern_counts(pat: Sequence[str]) -> Tuple[int, int, int]:
@@ -428,9 +422,9 @@ def _from_twin(params: GroupParams, shape: Shape, twin: Labeling) -> Labeling:
     mirrored = shape.h[0] != 0
     if mirrored:
         twin = labeling.reflect(params, twin)
-    b1, b2, b3 = twin.spine
-    a1, *y = twin.x
-    lab = labeling.make_labeling((a1, b1, b2), (), y, twin.y + (b3,))
+    b1, b2, b3 = twin.spine_ix
+    a1, *y = twin.x_ix
+    lab = labeling.make_labeling(params, (a1, b1, b2), (), y, twin.y_ix + (b3,))
     return labeling.reflect(params, lab) if mirrored else lab
 
 

@@ -3,16 +3,15 @@
 Inside the package an element is an integer index in [0, p^k): its base-p
 digits are the coordinates, most significant first, so index order is
 lexicographic order.  Addition is XOR at p = 2 and digit-wise mod p
-otherwise.  Length-k tuples of residues are the boundary form, used by JSON,
-the command line and the public values (Labeling fields, reports, plan
-dumps).  GroupParams.index/element convert one element, ``elements`` lists
-the boundary form of every index, and ``indices`` converts and validates the
-tuples that come in.
+otherwise.  Coordinates are the boundary form, and they appear only where
+elements come in or go out: element_from_json validates and converts one
+JSON element, format_elements writes the coordinates of many indices as
+text, and GroupParams.element gives the tuple of one index (plan dumps,
+verify's vertex names, the Labeling's tuple views).
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
@@ -72,21 +71,9 @@ class GroupParams:
     def order(self) -> int:
         return self.p ** self.k
 
-    @property
-    def zero(self) -> Element:
-        """The identity in boundary form; its index is 0."""
-        return (0,) * self.k
-
     def validate(self, e: Element) -> None:
         if len(e) != self.k or any(not (0 <= c < self.p) for c in e):
             raise InvalidElementError(f"{e!r} is not an element of Z_{self.p}^{self.k}")
-
-    def index(self, e: Element) -> int:
-        """Index of a tuple element, unvalidated; ``indices`` validates."""
-        i = 0
-        for c in e:
-            i = i * self.p + c
-        return i
 
     def element(self, idx: int) -> Element:
         coords = []
@@ -94,38 +81,6 @@ class GroupParams:
             idx, c = divmod(idx, self.p)
             coords.append(c)
         return tuple(reversed(coords))
-
-
-@functools.lru_cache(maxsize=None)
-def elements(params: GroupParams) -> Tuple[Element, ...]:
-    """Every element in boundary form: entry i is the tuple of index i."""
-    return tuple(itertools.product(range(params.p), repeat=params.k))
-
-
-def indices(params: GroupParams, elems: Sequence[Element]) -> List[int]:
-    """The index of every tuple in ``elems``, validating each: the one way
-    from the boundary form into the package.  Raises InvalidElementError for
-    the first invalid element.
-
-    The tuples are looked up in a table of every element, built per call and
-    not kept, so a call costs the group's order.  On a miss (an invalid
-    element, or one that cannot be a key, such as a list) the whole input
-    goes through the validating conversion: a range check over every
-    coordinate, then GroupParams.index per element.
-    """
-    try:
-        return list(map(dict(zip(elements(params), range(params.order))).__getitem__, elems))
-    except (KeyError, TypeError):
-        pass
-    coords = itertools.chain.from_iterable
-    if (
-        set(map(len, elems)) != {params.k}
-        or min(coords(elems)) < 0
-        or max(coords(elems)) >= params.p
-    ):
-        for e in elems:
-            params.validate(e)
-    return list(map(params.index, elems))
 
 
 def translate(params: GroupParams, a: int, cells: Sequence[int]) -> List[int]:
@@ -166,10 +121,6 @@ def scale(params: GroupParams, c: int, a: int) -> int:
 
 def neg(params: GroupParams, a: int) -> int:
     return scale(params, -1, a)
-
-
-def sub(params: GroupParams, a: int, b: int) -> int:
-    return add(params, a, neg(params, b))
 
 
 def span(params: GroupParams, gens: Iterable[int]) -> List[int]:
@@ -214,17 +165,34 @@ def basis_vector(params: GroupParams, i: int) -> int:
     return params.p ** (params.k - 1 - i)
 
 
-def element_to_json(e: Element) -> list:
-    return list(e)
+def element_from_json(params: GroupParams, data) -> int:
+    """The index of a JSON element, a list of k integer coordinates in
+    [0, p): the one way from the boundary form into the package.  The
+    coordinates are checked and folded into the index in one pass; anything
+    else raises InvalidElementError."""
+    if type(data) is list and len(data) == params.k:
+        p, i = params.p, 0
+        for c in data:
+            if type(c) is not int or not 0 <= c < p:
+                break
+            i = i * p + c
+        else:
+            return i
+    raise InvalidElementError(f"{data!r} is not an element of Z_{params.p}^{params.k}")
 
 
-def element_from_json(params: GroupParams, data) -> Element:
-    if (
-        not isinstance(data, list)
-        or len(data) != params.k
-        or any(type(c) is not int for c in data)
-    ):
-        raise InvalidElementError(f"bad element payload {data!r}")
-    e = tuple(data)
-    params.validate(e)
-    return e
+def format_elements(params: GroupParams, cells: Iterable[int], sep: str, brackets: str) -> List[str]:
+    """The coordinates of every index in ``cells`` as text: with sep "," and
+    brackets "()" the index of (1, 0, 2) gives "(1,0,2)".  The one way from
+    indices to printed coordinates.
+
+    An index is split into its high and low halves of base-p digits, and
+    each half is looked up in a table of digit strings built per call; the
+    two tables hold about sqrt(order) entries each.
+    """
+    digits = [str(c) for c in range(params.p)]
+    low_k = params.k // 2
+    high = [brackets[0] + sep.join(t) for t in itertools.product(digits, repeat=params.k - low_k)]
+    low = ["".join(sep + d for d in t) + brackets[1] for t in itertools.product(digits, repeat=low_k)]
+    w = params.p ** low_k
+    return [high[i // w] + low[i % w] for i in cells]

@@ -8,9 +8,10 @@ labels are stored as sets.  The verifier is the ground truth: a labeling is
 valid iff vertex labels are a bijection onto the group and the p^k - 1 edge
 sums are pairwise distinct.
 
-A Labeling and a VerifyReport hold elements in the tuple boundary form; a
-role partition and the edge-label bit table are keyed by integer index.
-verify converts the labels to indices once and computes on those.
+A Labeling, a VerifyReport, a role partition and the edge-label bit table
+all hold elements as integer indices (see group).  Coordinates appear only
+in the JSON schema, whose reader validates each element as it converts it
+and whose writer formats the indices as it prints them.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import group
-from .errors import InvalidShapeError, PartitionShapeMismatchError, RainbowError
+from .errors import (
+    InvalidElementError, InvalidShapeError, PartitionShapeMismatchError, RainbowError
+)
 from .group import Element, GroupParams
 
 # Role tags for partition maps.
@@ -77,19 +80,37 @@ def _check_shape(params: GroupParams, shape: Shape) -> None:
 
 @dataclass(frozen=True)
 class Labeling:
-    """Tree-side picture: spine labels (a1,a2,a3) plus hair label sets."""
+    """Tree-side picture: spine labels (a1,a2,a3) plus sorted hair label
+    sets, as element indices of the group of ``params``.
 
-    spine: Tuple[Element, Element, Element]
-    x: Tuple[Element, ...]
-    y: Tuple[Element, ...]
-    z: Tuple[Element, ...]
+    spine, x, y and z are read-only views of the same labels as coordinate
+    tuples, computed on each access and never stored.
+    """
 
-    def hairs(self, role: str) -> Tuple[Element, ...]:
-        return {X: self.x, Y: self.y, Z: self.z}[role]
+    params: GroupParams
+    spine_ix: Tuple[int, int, int]
+    x_ix: Tuple[int, ...]
+    y_ix: Tuple[int, ...]
+    z_ix: Tuple[int, ...]
+
+    def hair_ix(self, role: str) -> Tuple[int, ...]:
+        return {X: self.x_ix, Y: self.y_ix, Z: self.z_ix}[role]
+
+    def vertices(self) -> Tuple[int, ...]:
+        """Every label in vertex order: the spine, then the x, y, z hairs."""
+        return self.spine_ix + self.x_ix + self.y_ix + self.z_ix
+
+    def _tuples(self, cells: Sequence[int]) -> Tuple[Element, ...]:
+        return tuple(map(self.params.element, cells))
+
+    spine = property(lambda self: self._tuples(self.spine_ix))
+    x = property(lambda self: self._tuples(self.x_ix))
+    y = property(lambda self: self._tuples(self.y_ix))
+    z = property(lambda self: self._tuples(self.z_ix))
 
 
-def make_labeling(spine, x, y, z) -> Labeling:
-    return Labeling(tuple(spine), tuple(sorted(x)), tuple(sorted(y)), tuple(sorted(z)))
+def make_labeling(params: GroupParams, spine, x, y, z) -> Labeling:
+    return Labeling(params, tuple(spine), tuple(sorted(x)), tuple(sorted(y)), tuple(sorted(z)))
 
 
 # Role of every element, keyed by index.
@@ -97,49 +118,55 @@ Partition = Dict[int, str]
 
 
 def labeling_to_partition(params: GroupParams, lab: Labeling) -> Partition:
-    roles = list(SPINE_ROLES) + [role for role in HAIR_ROLES for _ in lab.hairs(role)]
-    return dict(zip(group.indices(params, lab.spine + lab.x + lab.y + lab.z), roles))
+    roles = list(SPINE_ROLES) + [role for role in HAIR_ROLES for _ in lab.hair_ix(role)]
+    return dict(zip(lab.vertices(), roles))
 
 
 def partition_to_labeling(params: GroupParams, shape: Shape, part: Partition) -> Labeling:
     """Inverse of labeling_to_partition; hair sets come out in canonical order."""
     _check_shape(params, shape)
-    elems = group.elements(params)
-    spine: Dict[str, Element] = {}
-    hairs: Dict[str, List[Element]] = {X: [], Y: [], Z: []}
+    cells: Dict[str, List[int]] = {role: [] for role in SPINE_ROLES + HAIR_ROLES}
     for v in sorted(part):
-        role = part[v]
-        if role in SPINE_ROLES:
-            if role in spine:
-                raise PartitionShapeMismatchError(f"duplicate spine role {role}")
-            spine[role] = elems[v]
-        else:
-            hairs[role].append(elems[v])
-    if set(spine) != set(SPINE_ROLES):
-        raise PartitionShapeMismatchError("partition misses a spine role")
-    sizes = tuple(len(hairs[r]) for r in HAIR_ROLES)
+        cells[part[v]].append(v)
+    spine = [cells[role] for role in SPINE_ROLES]
+    if any(len(c) != 1 for c in spine):
+        raise PartitionShapeMismatchError(f"spine roles hold {spine}, need one label each")
+    sizes = tuple(len(cells[r]) for r in HAIR_ROLES)
     if sizes != shape.h:
         raise PartitionShapeMismatchError(f"role-class sizes {sizes} != shape {shape.h}")
-    # index order is lex order, so the hair sets are already sorted
-    return Labeling((spine[S1], spine[S2], spine[S3]), *(tuple(hairs[r]) for r in HAIR_ROLES))
+    # sorted(part) visits the indices in order, so the hair sets are sorted
+    return Labeling(params, tuple(c[0] for c in spine), *(tuple(cells[r]) for r in HAIR_ROLES))
 
 
 @dataclass(frozen=True)
 class VerifyReport:
+    """verify's verdict; edges and the missing edge label are element indices."""
+
     valid: bool
     duplicate_vertex: Optional[Tuple[str, str]] = None
-    duplicate_edge: Optional[Tuple[Tuple[Element, Element], Tuple[Element, Element]]] = None
-    missing_edge_label: Optional[Element] = None
+    duplicate_edge: Optional[Tuple[Tuple[int, int], Tuple[int, int]]] = None
+    missing_edge_label: Optional[int] = None
 
 
 def _edges(params: GroupParams, lab: Labeling):
     """Caterpillar edges as (endpoint label, endpoint label) pairs, canonical order."""
-    a1, a2, a3 = lab.spine
+    a1, a2, a3 = lab.spine_ix
     yield (a1, a2)
     yield (a2, a3)
     for spine_label, role in ((a1, X), (a2, Y), (a3, Z)):
-        for e in lab.hairs(role):
+        for e in lab.hair_ix(role):
             yield (spine_label, e)
+
+
+def edge_labels(params: GroupParams, lab: Labeling) -> List[int]:
+    """The label of every edge, in _edges order."""
+    a1, a2, a3 = lab.spine_ix
+    return (
+        group.translate(params, a2, (a1, a3))
+        + group.translate(params, a1, lab.x_ix)
+        + group.translate(params, a2, lab.y_ix)
+        + group.translate(params, a3, lab.z_ix)
+    )
 
 
 def _first_repeat(keys: Sequence[int]) -> Optional[Tuple[int, int]]:
@@ -159,66 +186,59 @@ def verify(params: GroupParams, shape: Shape, lab: Labeling) -> VerifyReport:
     """Check hair counts against the shape, vertex bijectivity and edge-label
     distinctness; report the first failure found in canonical scan order, or
     the missing edge label if valid.  A count mismatch raises
-    PartitionShapeMismatchError, an invalid label InvalidElementError.
+    PartitionShapeMismatchError, a label outside [0, p^k) InvalidElementError.
 
-    Every label is converted to its index once (group.indices, the only
-    validation); the checks then run on integer sets and sums.
+    The labels are indices already, so the checks run on integer sets and
+    sums after one range check.
     """
     _check_shape(params, shape)
-    sizes = (len(lab.x), len(lab.y), len(lab.z))
+    sizes = (len(lab.x_ix), len(lab.y_ix), len(lab.z_ix))
     if sizes != shape.h:
         raise PartitionShapeMismatchError(f"hair counts {sizes} != shape {shape.h}")
-    idx = group.indices(params, lab.spine + lab.x + lab.y + lab.z)
+    idx = lab.vertices()
     n = params.order
+    if min(idx) < 0 or max(idx) >= n:
+        bad = next(v for v in idx if not 0 <= v < n)
+        raise InvalidElementError(f"{bad} is not an element index of Z_{params.p}^{params.k}")
 
     dup_vertex = _first_repeat(idx)
     if dup_vertex is not None:
-        slots = [f"spine{i + 1}" for i in range(len(lab.spine))]
-        slots += [f"hair {role} {e}" for role in HAIR_ROLES for e in lab.hairs(role)]
-        dup_vertex = tuple(slots[i] for i in dup_vertex)
+        roles = [role for role in HAIR_ROLES for _ in lab.hair_ix(role)]
+        dup_vertex = tuple(
+            f"spine{i + 1}" if i < 3 else f"hair {roles[i - 3]} {params.element(idx[i])}"
+            for i in dup_vertex
+        )
     elif len(idx) != n:
         # sizes off: report against shape rather than guessing a pair
         raise PartitionShapeMismatchError(
             f"labeling has {len(idx)} vertices, group has {n}"
         )
 
-    # edge labels in _edges order: a1+a2, a2+a3, then each spine label plus
-    # its hairs
-    a1, a2, a3 = idx[:3]
-    h1, h2, _ = shape.h
-    hairs = idx[3:]
-    sums = (
-        group.translate(params, a2, (a1, a3))
-        + group.translate(params, a1, hairs[:h1])
-        + group.translate(params, a2, hairs[h1:h1 + h2])
-        + group.translate(params, a3, hairs[h1 + h2:])
-    )
+    sums = edge_labels(params, lab)
     dup_edge = _first_repeat(sums)
     if dup_edge is not None:
         edges = list(_edges(params, lab))
         dup_edge = tuple(edges[i] for i in dup_edge)
 
     valid = dup_vertex is None and dup_edge is None
-    missing = None
-    if valid:
-        # the n - 1 distinct edge labels miss exactly one index
-        missing = params.element(n * (n - 1) // 2 - sum(sums))
+    # the n - 1 distinct edge labels miss exactly one index
+    missing = n * (n - 1) // 2 - sum(sums) if valid else None
     return VerifyReport(valid, dup_vertex, dup_edge, missing)
 
 
-def missing_edge_label(params: GroupParams, shape: Shape, lab: Labeling) -> Element:
+def missing_edge_label(params: GroupParams, shape: Shape, lab: Labeling) -> int:
     """Closed form for the unique group element absent from the edge labels:
-    -(h1*a1 + (h2+1)*a2 + h3*a3), from double-counting the group sum."""
-    report = verify(params, shape, lab)
-    if not report.valid:
-        raise RainbowError("missing_edge_label requires a valid labeling")
+    -(h1*a1 + (h2+1)*a2 + h3*a3), from double-counting the group sum.
+
+    Precondition: verify has found lab a valid labeling of shape; on any
+    other labeling the result names no missing label.
+    """
     h1, h2, h3 = shape.h
-    # verify validated the spine; group.indices would list the whole group
-    a1, a2, a3 = map(params.index, lab.spine)
+    a1, a2, a3 = lab.spine_ix
     acc = 0
     for c, e in ((h1, a1), (h2 + 1, a2), (h3, a3)):
         acc = group.add(params, acc, group.scale(params, c, e))
-    return params.element(group.neg(params, acc))
+    return group.neg(params, acc)
 
 
 def role_label_bits(
@@ -241,36 +261,42 @@ def role_label_bits(
 
 def reflect(params: GroupParams, lab: Labeling) -> Labeling:
     """Reverse the spine: swap a1<->a3 and the X/Z hair sets."""
-    a1, a2, a3 = lab.spine
-    return make_labeling((a3, a2, a1), lab.z, lab.y, lab.x)
+    a1, a2, a3 = lab.spine_ix
+    return Labeling(params, (a3, a2, a1), lab.z_ix, lab.y_ix, lab.x_ix)
 
 
 # --- JSON schema (bit-exact CLI contract) ---------------------------------
 
+# json.dumps of {"group", "shape", "spine", "hairs"}, every element a list of
+# its coordinates; the label arrays are written by group.format_elements.
+_JSON = (
+    '{"group": {"p": %d, "k": %d}, "shape": {"h": [%d, %d, %d]}, '
+    '"spine": %s, "hairs": {"x": %s, "y": %s, "z": %s}}'
+)
 
-def labeling_to_dict(params: GroupParams, shape: Shape, lab: Labeling) -> dict:
-    return {
-        "group": {"p": params.p, "k": params.k},
-        "shape": {"h": list(shape.h)},
-        "spine": [group.element_to_json(e) for e in lab.spine],
-        "hairs": {
-            role: [group.element_to_json(e) for e in lab.hairs(role)]
-            for role in HAIR_ROLES
-        },
-    }
+
+def labeling_to_json(params: GroupParams, shape: Shape, lab: Labeling) -> str:
+    arrays = [
+        "[" + ", ".join(group.format_elements(params, cells, ", ", "[]")) + "]"
+        for cells in (lab.spine_ix, lab.x_ix, lab.y_ix, lab.z_ix)
+    ]
+    return _JSON % (params.p, params.k, *shape.h, *arrays)
 
 
 def labeling_from_dict(data: dict) -> Tuple[GroupParams, Shape, Labeling]:
+    """Parse the JSON schema; every element is validated as it is converted
+    to its index (group.element_from_json), the first invalid one raising
+    InvalidElementError."""
     try:
         params = GroupParams(data["group"]["p"], data["group"]["k"])
         shape = make_shape(params, data["shape"]["h"])
-        spine = tuple(group.element_from_json(params, e) for e in data["spine"])
+        spine = [group.element_from_json(params, e) for e in data["spine"]]
         if len(spine) != 3:
             raise InvalidShapeError("spine must have three labels")
-        hairs = {
-            role: [group.element_from_json(params, e) for e in data["hairs"][role]]
+        hairs = [
+            [group.element_from_json(params, e) for e in data["hairs"][role]]
             for role in HAIR_ROLES
-        }
+        ]
     except (KeyError, TypeError) as exc:
         raise RainbowError(f"malformed labeling payload: {exc}") from exc
-    return params, shape, make_labeling(spine, hairs[X], hairs[Y], hairs[Z])
+    return params, shape, make_labeling(params, spine, *hairs)

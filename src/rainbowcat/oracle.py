@@ -23,9 +23,8 @@ canonical family, and search decides each model in order:
   remaining role quotas, and pick the most constrained cell, ties to the
   lowest canonical index.  A SearchBudget counts these nodes only.
 
-Spine models and role partitions hold elements as integer indices (see
-group); an OracleVerdict reports its labeling and the models it tried as
-tuples.
+Spine models, role partitions, and the labeling and models an OracleVerdict
+reports, hold elements as integer indices (see group).
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import group, labeling
 from .errors import OrderLimitError
-from .group import Element, GroupParams
+from .group import GroupParams
 from .labeling import Labeling, Shape
 
 
@@ -64,7 +63,7 @@ class OracleVerdict:
     outcome: str
     labeling: Optional[Labeling] = None
     nodes: int = 0
-    models_tried: List[Tuple[Element, Element]] = field(default_factory=list)
+    models_tried: List[Tuple[int, int]] = field(default_factory=list)
     elapsed_ms: float = 0.0
 
 
@@ -215,9 +214,9 @@ def search(
     if models is None:
         models = canonical_models(params)
     h1, _, h3 = shape.h
-    tried: List[Tuple[Element, Element]] = []
+    tried: List[Tuple[int, int]] = []
     for a, b in models:
-        tried.append((params.element(a), params.element(b)))
+        tried.append((a, b))
         if a == b or 0 in (a, b):
             continue  # degenerate model: two spine vertices share a label
         missing = group.add(params, group.scale(params, -h1, a), group.scale(params, -h3, b))

@@ -14,12 +14,14 @@ from testkit import (
     TupleGroup,
     apply_automorphism,
     check_forbidden,
+    elements,
     enumerate_table,
     index_keys,
     matrix_is_invertible,
     naive_models,
     translate,
     tuple_models,
+    zero,
 )
 
 
@@ -124,11 +126,11 @@ def test_criterion_4_construction_soundness_5_2():
 def test_criterion_5_fa_equivalence_exhaustive_3_2():
     start = time.monotonic()
     params = GroupParams(3, 2)
-    free_template = [e for e in group.elements(params)]
+    free_template = [e for e in elements(params)]
     for a, b in tuple_models(params, oracle.canonical_models(params)):
-        free = [e for e in free_template if e not in (params.zero, a, b)]
+        free = [e for e in free_template if e not in (zero(params), a, b)]
         for roles in itertools.product(HAIR_ROLES, repeat=len(free)):
-            part = {a: S1, params.zero: S2, b: S3}
+            part = {a: S1, zero(params): S2, b: S3}
             part.update(zip(free, roles))
             counts = (roles.count(X), roles.count(Y), roles.count(Z))
             shape = labeling.make_shape(params, counts)
@@ -147,9 +149,9 @@ def test_criterion_6_structural_invariants_3_2():
         in_span = b in tg.span([a])
         subgroup = tg.span([a, b])
         regular = tg.cosets(subgroup)[1:]
-        free = [e for e in group.elements(params) if e not in (params.zero, a, b)]
+        free = [e for e in elements(params) if e not in (zero(params), a, b)]
         for roles in itertools.product(HAIR_ROLES, repeat=len(free)):
-            part = {a: S1, params.zero: S2, b: S3}
+            part = {a: S1, zero(params): S2, b: S3}
             part.update(zip(free, roles))
             counts = (roles.count(X), roles.count(Y), roles.count(Z))
             shape = labeling.make_shape(params, counts)
@@ -172,7 +174,7 @@ def test_criterion_7_invariance_1000_trials():
     rng = random.Random(20260823)
     for _ in range(1000):
         params, shape, lab = rng.choice(pool)
-        c = rng.choice(group.elements(params))
+        c = rng.choice(elements(params))
         assert labeling.verify(params, shape, translate(params, lab, c)).valid
     for _ in range(1000):
         params, shape, lab = rng.choice(pool)

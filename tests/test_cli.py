@@ -2,11 +2,18 @@
 
 import concurrent.futures
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
-from rainbowcat import cli, group, labeling
+from rainbowcat import cli, constructor, group, labeling, oracle
 from rainbowcat.group import GroupParams
+from testkit import reference_dot, reference_json, reference_text
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -17,12 +24,13 @@ def run(capsys, *argv):
 
 @pytest.fixture
 def no_group_listing(monkeypatch):
-    """Fail the test if anything lists the group's elements or cosets."""
+    """Fail the test if anything lists the group's cosets or writes its
+    elements."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("listed the elements of a huge group")
 
-    monkeypatch.setattr(group, "elements", refuse)
+    monkeypatch.setattr(group, "format_elements", refuse)
     monkeypatch.setattr(group, "cosets", refuse)
 
 
@@ -98,6 +106,49 @@ class TestLabel:
         code, out, _ = run(capsys, "label", "--p", "2", "--k", "40", "--hairs", "1,1,1099511627771")
         assert code == 1
         assert out.startswith("infeasible: P2_parity")
+
+
+WRITER_GROUPS = [(2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (5, 2), (7, 2)]
+
+
+@pytest.mark.parametrize("p, k", WRITER_GROUPS, ids=[f"Z{p}^{k}" for p, k in WRITER_GROUPS])
+def test_writers_match_tuple_reference(p, k):
+    """The JSON, text and dot writers format indices through digit tables;
+    their output equals, byte for byte, the tuple-based writers in testkit
+    on every feasible shape."""
+    params = GroupParams(p, k)
+    for shape in oracle.all_shapes(params):
+        if not constructor.feasibility(params, shape).feasible:
+            continue
+        lab = constructor.construct(params, shape)
+        assert labeling.labeling_to_json(params, shape, lab) + "\n" == reference_json(params, shape, lab)
+        assert cli._text(params, shape, lab) == reference_text(params, shape, lab)
+        assert cli._dot(params, lab) == reference_dot(params, shape, lab)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--p", "5", "--k", "2"],
+        ["label", "--p", "5", "--k", "2", "--hairs", "9,4,9", "--format", "json"],
+    ],
+    ids=["table", "label-json"],
+)
+def test_closed_stdout_exits_2(argv):
+    """A reader that closed the pipe before anything was written, as `| head
+    -c 10` does after ten bytes, gives exit 2 and no traceback."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "rainbowcat.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == ""
 
 
 class TestFeasible:

@@ -21,7 +21,7 @@ from rainbowcat.errors import (
 )
 from rainbowcat.group import GroupParams
 from rainbowcat.labeling import S1, S2, S3, X, Y, Z
-from testkit import TupleGroup, check_forbidden, decompose_bfs, model_param, tuple_keys
+from testkit import TupleGroup, check_forbidden, decompose_bfs, model_param, tuple_keys, zero
 
 
 def shp(p, k, h):
@@ -72,12 +72,12 @@ def _fa_check_pattern(p, pattern, a_scalar, b_scalar, spine=True):
     e1, e2 = (1, 0), (0, 1)
     a = tg.scale(a_scalar, e1)
     b = tg.scale(b_scalar, e1)
-    part = {a: S1, params.zero: S2, b: S3}
-    offset = params.zero if spine else e2
+    part = {a: S1, zero(params): S2, b: S3}
+    offset = zero(params) if spine else e2
     for m, role in enumerate(pattern):
         v = tg.add(offset, tg.scale(m, e1))
         if role in (S1, S2, S3):
-            assert part[{"s1": a, "s2": params.zero, "s3": b}[role]] == role
+            assert part[{"s1": a, "s2": zero(params), "s3": b}[role]] == role
         else:
             part[v] = role
     return check_forbidden(params, (a, b), part)
@@ -360,14 +360,14 @@ def _brute_force_menu(params, a, b, spine):
     cells = TupleGroup(params).span([a, b])
     if spine:
         host, place = params, lambda c: c
-        free = [c for c in cells if c not in (a, params.zero, b)]
+        free = [c for c in cells if c not in (a, zero(params), b)]
     else:
         host, place = GroupParams(params.p, params.k + 1), lambda c: c + (1,)
         a, b = a + (0,), b + (0,)
         free = cells
     menu = {}
     for roles in itertools.product((X, Y, Z), repeat=len(free)):
-        part = {a: S1, host.zero: S2, b: S3}
+        part = {a: S1, zero(host): S2, b: S3}
         for c, role in zip(free, roles):
             part[place(c)] = role
         if not check_forbidden(host, (a, b), part):

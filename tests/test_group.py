@@ -1,19 +1,22 @@
-"""Group arithmetic, span/coset structure, and the element-index bijection.
+"""Group arithmetic, span/coset structure, and the element-index bijection:
+JSON elements in through element_from_json, coordinates out through
+format_elements.
 
 The package computes on integer indices; the tests written in coordinates go
 through testkit.TupleGroup.
 """
 
+import json
 import re
 import time
 
 import pytest
 from hypothesis import given, strategies as st
 
-from rainbowcat import group, oracle
+from rainbowcat import group, labeling, oracle
 from rainbowcat.errors import InvalidElementError
 from rainbowcat.group import GroupParams
-from testkit import TupleGroup, apply_matrix, matrix_is_invertible
+from testkit import TupleGroup, apply_matrix, elements, index, matrix_is_invertible, payload, sub, zero
 
 PARAMS = [GroupParams(2, 2), GroupParams(2, 3), GroupParams(3, 2), GroupParams(5, 1)]
 
@@ -21,7 +24,7 @@ PARAMS = [GroupParams(2, 2), GroupParams(2, 3), GroupParams(3, 2), GroupParams(5
 def params_and_elem(n=1):
     return st.sampled_from(PARAMS).flatmap(
         lambda prm: st.tuples(
-            st.just(prm), *[st.sampled_from(group.elements(prm)) for _ in range(n)]
+            st.just(prm), *[st.sampled_from(elements(prm)) for _ in range(n)]
         )
     )
 
@@ -71,18 +74,18 @@ class TestGroupParams:
     def test_order_zero(self):
         prm = GroupParams(3, 2)
         assert prm.order == 9
-        assert prm.zero == (0, 0)
+        assert zero(prm) == (0, 0)
 
     @given(params_and_elem())
     def test_index_element_roundtrip(self, t):
         prm, e = t
-        assert prm.element(prm.index(e)) == e
+        assert prm.element(index(prm, e)) == e
 
     def test_index_is_lex_order(self):
         prm = GroupParams(3, 2)
-        elems = group.elements(prm)
-        assert [prm.index(e) for e in elems] == list(range(9))
-        assert elems == tuple(sorted(elems))
+        elems = elements(prm)
+        assert [index(prm, e) for e in elems] == list(range(9))
+        assert elems == sorted(elems)
 
 
 class TestArithmetic:
@@ -120,9 +123,9 @@ class TestArithmetic:
     def test_identity_and_inverse(self, t):
         prm, e = t
         tg = TupleGroup(prm)
-        assert tg.add(e, prm.zero) == e
-        assert tg.add(e, tg.neg(e)) == prm.zero
-        assert tg.sub(e, e) == prm.zero
+        assert tg.add(e, zero(prm)) == e
+        assert tg.add(e, tg.neg(e)) == zero(prm)
+        assert tg.sub(e, e) == zero(prm)
 
     @given(params_and_elem(), st.integers(-10, 10), st.integers(-10, 10))
     def test_scale_additive_in_scalar(self, t, c1, c2):
@@ -144,51 +147,63 @@ class TestIndexArithmetic:
     every element and every pair."""
 
     def test_pairs_match_coordinates(self, prm):
-        p, elems = prm.p, group.elements(prm)
+        p, elems = prm.p, elements(prm)
         for i, a in enumerate(elems):
             for j, b in enumerate(elems):
                 assert elems[group.add(prm, i, j)] == tuple((x + y) % p for x, y in zip(a, b))
-                assert elems[group.sub(prm, i, j)] == tuple((x - y) % p for x, y in zip(a, b))
+                assert elems[sub(prm, i, j)] == tuple((x - y) % p for x, y in zip(a, b))
             assert group.translate(prm, i, range(prm.order)) == [
                 group.add(prm, i, j) for j in range(prm.order)
             ]
 
     def test_neg_and_scale_match_coordinates(self, prm):
-        p, elems = prm.p, group.elements(prm)
+        p, elems = prm.p, elements(prm)
         for i, a in enumerate(elems):
             assert elems[group.neg(prm, i)] == tuple(-x % p for x in a)
             for c in range(-p, 2 * p):
                 assert elems[group.scale(prm, c, i)] == tuple(c * x % p for x in a)
 
     def test_index_element_roundtrip(self, prm):
-        elems = group.elements(prm)
-        assert [prm.index(e) for e in elems] == list(range(prm.order))
-        assert [prm.element(i) for i in range(prm.order)] == list(elems)
-        assert group.indices(prm, elems) == list(range(prm.order))
+        elems = elements(prm)
+        assert [index(prm, e) for e in elems] == list(range(prm.order))
+        assert [prm.element(i) for i in range(prm.order)] == elems
+        assert [group.element_from_json(prm, list(e)) for e in elems] == list(range(prm.order))
+        assert group.format_elements(prm, range(prm.order), ",", "()") == [
+            "(" + ",".join(map(str, e)) + ")" for e in elems
+        ]
 
     def test_indices_raise_on_first_invalid(self, prm):
-        elems = list(group.elements(prm))
+        elems = elements(prm)
+        shape = labeling.make_shape(prm, (0, prm.order - 3, 0))
         for bad in ((prm.p,) + elems[1][1:], (-1,) * prm.k, elems[1] + (0,)):
-            with pytest.raises(InvalidElementError, match=re.escape(repr(bad))):
-                group.indices(prm, elems[:2] + [bad, (prm.p,) * (prm.k + 1)])
+            data = payload(prm, shape, elems[:3], z=elems[:2] + [bad, (prm.p,) * (prm.k + 1)])
+            with pytest.raises(InvalidElementError, match=re.escape(repr(list(bad)))):
+                labeling.labeling_from_dict(data)
 
     def test_indices_table_matches_validating_path(self, prm):
-        # a list cannot be a table key, so lists take the validating path
-        elems = list(group.elements(prm))
-        bools = [tuple(map(bool, e)) for e in elems if max(e) <= 1]
-        for case in (elems, bools, []):
-            assert group.indices(prm, case) == group.indices(prm, [list(e) for e in case])
+        # the writer's digit tables give json.dumps of the coordinates, and
+        # the validating reader takes that text back to the index
+        written = group.format_elements(prm, range(prm.order), ", ", "[]")
+        assert written == [json.dumps(list(e)) for e in elements(prm)]
+        assert [group.element_from_json(prm, json.loads(t)) for t in written] == list(range(prm.order))
+        # bool coordinates equal 0 and 1 but are not JSON integers
+        for e in elements(prm):
+            if max(e) <= 1:
+                with pytest.raises(InvalidElementError):
+                    group.element_from_json(prm, [bool(c) for c in e])
 
     def test_indices_invalid_raise_for_first(self, prm):
-        valid = group.elements(prm)[1]
+        valid = elements(prm)[1]
         wrong_length, out_of_range = valid + (0,), (prm.p,) + valid[1:]
-        negative = valid[:-1] + (-1,)
-        for bad in (wrong_length, out_of_range, negative):
+        negative, boolean = valid[:-1] + (-1,), (True,) + valid[1:]
+        shape = labeling.make_shape(prm, (0, prm.order - 3, 0))
+        spine = elements(prm)[2:5]
+        for bad in (wrong_length, out_of_range, negative, boolean):
             for case in ([bad], [valid, bad], [valid, bad, (prm.p,) * (prm.k + 1)]):
-                for form in (tuple, list):
-                    message = "^" + re.escape(repr(form(bad))) + " is not an element"
+                message = "^" + re.escape(repr(list(bad))) + " is not an element"
+                for data in (payload(prm, shape, case), payload(prm, shape, spine, y=case)):
                     with pytest.raises(InvalidElementError, match=message):
-                        group.indices(prm, [form(e) for e in case])
+                        labeling.labeling_from_dict(data)
 
 
 def _coset_cases():
@@ -197,7 +212,7 @@ def _coset_cases():
         for a, b in oracle.canonical_models(prm):
             yield pytest.param(prm, [a, b], id=f"Z{p}^{k}-{a}-{b}")
     prm = GroupParams(2, 3)
-    yield pytest.param(prm, [prm.index((1, 1, 0))], id="Z2^3-110")
+    yield pytest.param(prm, [index(prm, (1, 1, 0))], id="Z2^3-110")
 
 
 @pytest.mark.parametrize("prm, gens", _coset_cases())
@@ -222,7 +237,7 @@ class TestSpan:
     @given(params_and_elem())
     def test_span_of_nonzero_has_order_p(self, t):
         prm, e = t
-        if e != prm.zero:
+        if e != zero(prm):
             assert len(TupleGroup(prm).span([e])) == prm.p
 
 
@@ -246,7 +261,7 @@ class TestCosets:
         tg = TupleGroup(prm)
         comps = tg.cosets(tg.span([(1, 1, 0)]))
         flat = [e for c in comps for e in c]
-        assert sorted(flat) == sorted(group.elements(prm))
+        assert sorted(flat) == elements(prm)
         assert len(set(flat)) == len(flat)
 
     def test_cosets_list_min_plus_subgroup(self):
@@ -256,7 +271,7 @@ class TestCosets:
             comps = tg.cosets(gens)
             assert comps[0] == tg.span(gens)
             mins = [min(c) for c in comps]
-            assert mins[0] == prm.zero and mins[1:] == sorted(mins[1:])
+            assert mins[0] == zero(prm) and mins[1:] == sorted(mins[1:])
             for comp in comps:
                 assert comp == [tg.add(min(comp), h) for h in comps[0]]
 
@@ -281,7 +296,8 @@ class TestJson:
     @given(params_and_elem())
     def test_element_json_roundtrip(self, t):
         prm, e = t
-        assert group.element_from_json(prm, group.element_to_json(e)) == e
+        (text,) = group.format_elements(prm, [index(prm, e)], ", ", "[]")
+        assert prm.element(group.element_from_json(prm, json.loads(text))) == e
 
     def test_bad_payload(self):
         with pytest.raises(InvalidElementError):

@@ -6,7 +6,7 @@ import pytest
 
 from rainbowcat import labeling, oracle
 from rainbowcat.group import GroupParams
-from testkit import enumerate_table, model_param, naive_models, tuple_models
+from testkit import enumerate_table, index, model_param, naive_models, tuple_models
 
 
 class TestCanonicalModels:
@@ -141,7 +141,7 @@ def _decision_cases():
             yield model_param(params, a, b)
     # the cyclic model of Z_3^3 costs 14.5 M whole-group nodes; left out
     z33 = GroupParams(3, 3)
-    yield model_param(z33, z33.index((1, 0, 0)), z33.index((0, 1, 0)))
+    yield model_param(z33, index(z33, (1, 0, 0)), index(z33, (0, 1, 0)))
 
 
 @pytest.mark.parametrize("params, a, b", _decision_cases())

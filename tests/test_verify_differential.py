@@ -6,6 +6,7 @@ and on the missing edge label wherever both give a verdict.
 """
 
 import importlib.util
+import json
 import pathlib
 import random
 
@@ -43,12 +44,12 @@ def _agree(params, shape, lab):
     report = labeling.verify(params, shape, lab)
     assert report.valid == verdict.ok, (shape.h, report, verdict)
     if report.valid:
-        assert report.missing_edge_label == verdict.missing
+        assert params.element(report.missing_edge_label) == verdict.missing
     return report.valid
 
 
 def _roles(lab):
-    return {role: list(lab.hairs(role)) for role in HAIR_ROLES}
+    return {role: list(lab.hair_ix(role)) for role in HAIR_ROLES}
 
 
 def _move_hair(params, shape, lab, rng):
@@ -57,29 +58,31 @@ def _move_hair(params, shape, lab, rng):
     src = rng.choice([r for r in HAIR_ROLES if roles[r]])
     dst = rng.choice([r for r in HAIR_ROLES if r != src])
     roles[dst].append(roles[src].pop(rng.randrange(len(roles[src]))))
-    moved = labeling.make_labeling(lab.spine, roles["x"], roles["y"], roles["z"])
+    moved = labeling.make_labeling(params, lab.spine_ix, roles["x"], roles["y"], roles["z"])
     return labeling.make_shape(params, tuple(len(roles[r]) for r in HAIR_ROLES)), moved
 
 
-def _duplicate_vertex(lab, rng):
+def _duplicate_vertex(params, lab, rng):
     """One hair relabeled with the label of another vertex."""
     roles = _roles(lab)
     role = rng.choice([r for r in HAIR_ROLES if roles[r]])
     i = rng.randrange(len(roles[role]))
-    others = list(lab.spine) + [e for r in HAIR_ROLES for e in roles[r] if e != roles[role][i]]
+    others = list(lab.spine_ix) + [e for r in HAIR_ROLES for e in roles[r] if e != roles[role][i]]
     roles[role][i] = rng.choice(others)
-    return labeling.make_labeling(lab.spine, roles["x"], roles["y"], roles["z"])
+    return labeling.make_labeling(params, lab.spine_ix, roles["x"], roles["y"], roles["z"])
 
 
-def _out_of_range(params, lab, rng):
-    """One coordinate of one label set to p."""
-    labels = [list(lab.spine)] + [list(lab.hairs(r)) for r in HAIR_ROLES]
-    part = rng.choice([ls for ls in labels if ls])
-    i = rng.randrange(len(part))
-    e = list(part[i])
-    e[rng.randrange(params.k)] = params.p
-    part[i] = tuple(e)
-    return labeling.Labeling(tuple(labels[0]), *map(tuple, labels[1:]))
+def _out_of_range(params, shape, lab, rng):
+    """The labeling's JSON payload with one coordinate of one label set to p,
+    and the labeling with that label's index moved out of [0, p^k)."""
+    data = json.loads(labeling.labeling_to_json(params, shape, lab))
+    labels = [data["spine"]] + [data["hairs"][r] for r in HAIR_ROLES]
+    cells = [list(lab.spine_ix)] + [list(lab.hair_ix(r)) for r in HAIR_ROLES]
+    j = rng.choice([j for j, ls in enumerate(labels) if ls])
+    i = rng.randrange(len(labels[j]))
+    labels[j][i][rng.randrange(params.k)] = params.p
+    cells[j][i] = rng.choice((-1 - cells[j][i], params.order + cells[j][i]))
+    return data, labeling.Labeling(params, tuple(cells[0]), *map(tuple, cells[1:]))
 
 
 @pytest.mark.parametrize("p, k", GROUPS, ids=[f"Z{p}^{k}" for p, k in GROUPS])
@@ -95,10 +98,12 @@ def test_verify_agrees_with_rbcheck(p, k):
         valid = _agree(params, moved_shape, moved)
         outcomes["moved_valid" if valid else "moved_invalid"] += 1
 
-        assert not _agree(params, shape, _duplicate_vertex(lab, rng)), shape.h
+        assert not _agree(params, shape, _duplicate_vertex(params, lab, rng)), shape.h
 
-        bad = _out_of_range(params, lab, rng)
-        assert not rbcheck.check(p, k, shape.h, bad.spine, bad.x, bad.y, bad.z).ok
+        bad_data, bad = _out_of_range(params, shape, lab, rng)
+        assert not rbcheck.check_payload(bad_data).ok
+        with pytest.raises(InvalidElementError):
+            labeling.labeling_from_dict(bad_data)
         with pytest.raises(InvalidElementError):
             labeling.verify(params, shape, bad)
     assert outcomes["moved_invalid"] > 0

@@ -1,9 +1,13 @@
-"""Helpers that only the tests use: conversions between the package's
-integer elements and the tuples tests are written in, a second, rule-by-rule
-statement of the rainbow constraint, labeling transforms under the group's
-symmetries, every translated spine model (the reference for the canonical
-reduction), and the full predicate-vs-oracle table of a group."""
+"""Helpers that only the tests use: the group's elements as tuples and the
+conversions between them and the package's integer elements, a second,
+rule-by-rule statement of the rainbow constraint, labeling transforms under
+the group's symmetries, every translated spine model (the reference for the
+canonical reduction), the full predicate-vs-oracle table of a group, and
+the tuple-based label writers that the package's writers are checked
+against."""
 
+import itertools
+import json
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import pytest
@@ -11,29 +15,54 @@ import pytest
 from rainbowcat import group, labeling, oracle
 from rainbowcat.errors import RainbowError
 from rainbowcat.group import Element, GroupParams
-from rainbowcat.labeling import S1, S2, S3, X, Y, Z, Labeling
+from rainbowcat.labeling import HAIR_ROLES, S1, S2, S3, X, Y, Z, Labeling, Shape
+
+
+def elements(params: GroupParams) -> List[Element]:
+    """Every element as a tuple: entry i is the tuple of index i."""
+    return list(itertools.product(range(params.p), repeat=params.k))
+
+
+def zero(params: GroupParams) -> Element:
+    """The identity as a tuple; its index is 0."""
+    return (0,) * params.k
+
+
+def index(params: GroupParams, e: Sequence[int]) -> int:
+    """The index of a tuple element, unvalidated."""
+    i = 0
+    for c in e:
+        i = i * params.p + c
+    return i
+
+
+def sub(params: GroupParams, a: int, b: int) -> int:
+    return group.add(params, a, group.neg(params, b))
 
 
 class TupleGroup:
     """The package's group functions on tuple elements, for tests written in
     coordinates.  A tuple goes in through a table of the group's elements
     built once per instance, and any tuple the table lacks through
-    group.indices, which validates it; results come back through
+    GroupParams.validate, which rejects it; results come back through
     params.element."""
 
     def __init__(self, params: GroupParams):
         self.params = params
-        self._index = {e: i for i, e in enumerate(group.elements(params))}
+        self._index = {e: i for i, e in enumerate(elements(params))}
 
     def ix(self, e: Element) -> int:
         i = self._index.get(e)
-        return group.indices(self.params, [e])[0] if i is None else i
+        if i is None:
+            self.params.validate(e)
+            i = index(self.params, e)
+        return i
 
     def add(self, a: Element, b: Element) -> Element:
         return self.params.element(group.add(self.params, self.ix(a), self.ix(b)))
 
     def sub(self, a: Element, b: Element) -> Element:
-        return self.params.element(group.sub(self.params, self.ix(a), self.ix(b)))
+        return self.params.element(sub(self.params, self.ix(a), self.ix(b)))
 
     def neg(self, a: Element) -> Element:
         return self.params.element(group.neg(self.params, self.ix(a)))
@@ -49,9 +78,19 @@ class TupleGroup:
         return [[self.params.element(v) for v in comp] for comp in comps]
 
 
+def payload(params: GroupParams, shape: Shape, spine, x=(), y=(), z=()) -> dict:
+    """A labeling in the JSON schema, labels given as coordinate sequences."""
+    return {
+        "group": {"p": params.p, "k": params.k},
+        "shape": {"h": list(shape.h)},
+        "spine": [list(e) for e in spine],
+        "hairs": {role: [list(e) for e in cells] for role, cells in zip(HAIR_ROLES, (x, y, z))},
+    }
+
+
 def index_keys(params: GroupParams, d: Dict[Element, object]) -> Dict[int, object]:
     """A mapping keyed by tuple elements, keyed by index (a role partition)."""
-    return dict(zip(group.indices(params, list(d)), d.values()))
+    return dict(zip(map(TupleGroup(params).ix, d), d.values()))
 
 
 def tuple_keys(params: GroupParams, d: Dict[int, object]) -> Dict[Element, object]:
@@ -91,7 +130,7 @@ def check_forbidden(
     for a full role assignment.
     """
     a, b = model
-    if part.get(a) != S1 or part.get(params.zero) != S2 or part.get(b) != S3:
+    if part.get(a) != S1 or part.get(zero(params)) != S2 or part.get(b) != S3:
         raise ModelMismatchError("spine roles must sit at a, 0, b")
 
     tg = TupleGroup(params)
@@ -115,11 +154,10 @@ def check_forbidden(
 
 
 def _map_labels(lab: Labeling, f) -> Labeling:
+    """Apply f to every label, as a tuple."""
+    ix = TupleGroup(lab.params).ix
     return labeling.make_labeling(
-        tuple(f(e) for e in lab.spine),
-        (f(e) for e in lab.x),
-        (f(e) for e in lab.y),
-        (f(e) for e in lab.z),
+        lab.params, *([ix(f(e)) for e in cells] for cells in (lab.spine, lab.x, lab.y, lab.z))
     )
 
 
@@ -184,7 +222,7 @@ def naive_models(params: GroupParams) -> List[Tuple[int, int]]:
             for a3 in elems:
                 if a3 == a1 or a3 == a2:
                     continue
-                out.append((group.sub(params, a1, a2), group.sub(params, a3, a2)))
+                out.append((sub(params, a1, a2), sub(params, a3, a2)))
     return out
 
 
@@ -235,3 +273,45 @@ def decompose_bfs(
                 grown.append(nxt)
         frontier = grown
     return None
+
+
+# --- the label writers on tuple elements: the reference for the package's ---
+
+
+def _tuple_text(e: Element) -> str:
+    return "(" + ",".join(str(c) for c in e) + ")"
+
+
+def reference_json(params: GroupParams, shape: Shape, lab: Labeling) -> str:
+    """``label --format json``: json.dumps of the schema, labels as lists."""
+    return json.dumps({
+        "group": {"p": params.p, "k": params.k},
+        "shape": {"h": list(shape.h)},
+        "spine": [list(e) for e in lab.spine],
+        "hairs": {role: [list(e) for e in cells] for role, cells in zip(HAIR_ROLES, (lab.x, lab.y, lab.z))},
+    }) + "\n"
+
+
+def reference_text(params: GroupParams, shape: Shape, lab: Labeling) -> str:
+    """``label --format text``; the missing label is verify's set difference."""
+    missing = params.element(labeling.verify(params, shape, lab).missing_edge_label)
+    rows = [("spine", lab.spine), ("x", lab.x), ("y", lab.y), ("z", lab.z), ("missing", (missing,))]
+    return "".join(f"{name}: " + " ".join(map(_tuple_text, cells)) + "\n" for name, cells in rows)
+
+
+def reference_dot(params: GroupParams, shape: Shape, lab: Labeling) -> str:
+    """``label --format dot``: a node per element in index order, then the
+    edges spine-first, each labeled with the sum of its ends."""
+    tg = TupleGroup(params)
+    roles = dict(zip(lab.spine, (S1, S2, S3)))
+    for role, cells in zip(HAIR_ROLES, (lab.x, lab.y, lab.z)):
+        roles.update(dict.fromkeys(cells, role))
+    a1, a2, a3 = lab.spine
+    edges = [(a1, a2), (a2, a3)]
+    edges += [(a, e) for a, cells in zip(lab.spine, (lab.x, lab.y, lab.z)) for e in cells]
+    lines = ["graph caterpillar {"]
+    lines += [f'  n{tg.ix(e)} [label="{_tuple_text(e)}" role="{roles[e]}"];' for e in sorted(roles)]
+    lines += [
+        f'  n{tg.ix(u)} -- n{tg.ix(v)} [label="{_tuple_text(tg.add(u, v))}"];' for u, v in edges
+    ]
+    return "\n".join(lines) + "\n}\n"
