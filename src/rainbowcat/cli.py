@@ -9,7 +9,8 @@ Exit codes are the machine contract:
 * oracle: 0 found, 1 exhausted-infeasible, 3 budgeted-unknown
 * table: with --cross-check, nonzero iff some row disagrees
 * oracle / table: 2 for groups of order above oracle.MAX_ORDER = 512, which
-  the exhaustive search (one recursion level per element) cannot handle
+  the exhaustive search (one recursion level per element) cannot handle,
+  and for Z_7^3, whose block menus it cannot enumerate (oracle.check_order)
 * verify: 0 valid, 1 invalid, 2 parse error
 * every command: 2 when the reader closes stdout before all output is
   written (a broken pipe), with no traceback
@@ -58,7 +59,7 @@ def _coords(params: GroupParams, cells) -> List[str]:
 
 def _text(params: GroupParams, shape: Shape, lab: Labeling) -> str:
     """The labeling as text; lab must be verified (missing_edge_label)."""
-    zeta = labeling.missing_edge_label(params, shape, lab)
+    zeta = labeling.missing_edge_label(params, shape, lab.spine_ix)
     rows = [("spine", lab.spine_ix)] + [(role, lab.hair_ix(role)) for role in HAIR_ROLES]
     rows.append(("missing", (zeta,)))
     return "".join(f"{name}: " + " ".join(_coords(params, cells)) + "\n" for name, cells in rows)
@@ -66,9 +67,9 @@ def _text(params: GroupParams, shape: Shape, lab: Labeling) -> str:
 
 def _dot(params: GroupParams, lab: Labeling) -> str:
     names = _coords(params, range(params.order))
-    part = labeling.labeling_to_partition(params, lab)
     lines = ["graph caterpillar {"]
-    lines += [f'  n{v} [label="{names[v]}" role="{part[v]}"];' for v in sorted(part)]
+    nodes = sorted(zip(lab.vertices(), lab.roles()))
+    lines += [f'  n{v} [label="{names[v]}" role="{role}"];' for v, role in nodes]
     lines += [
         f'  n{u} -- n{v} [label="{names[s]}"];'
         for (u, v), s in zip(labeling._edges(params, lab), labeling.edge_labels(params, lab))

@@ -14,7 +14,7 @@ assembler; nothing in it searches over labelings.  The patterns come from:
   recipe; its labeling maps back (empty_x_twin; the mirror likewise).
 
 So at p >= 5 every feasible shape takes a recipe or the empty-X twin.  Only
-p in {2,3} walks the oracle's canonical spine models (small_p_patterns).
+p in {2,3} walks the canonical spine models (small_p_patterns).
 Each model is decided by per-coset pattern menus, found by a depth-first
 search on the shared edge-label bits (labeling.role_label_bits), and a
 decomposition of the hair counts into menu triples (_decompose): a lookup
@@ -22,7 +22,7 @@ in a table, filled once per menu, of the minimal sums of its mixed triples
 per residue class (|H| sums), completed with uniform blocks.  construct
 refuses groups of order above MAX_ORDER, after the closed-form verdict.
 
-Models, generators, cosets, role maps and the Labeling construct returns
+Models, generators, cosets, role classes and the Labeling construct returns
 all hold elements as integer indices (see group).
 """
 
@@ -32,7 +32,7 @@ import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import group, labeling, oracle
+from . import group, labeling
 from .errors import (
     ConstructionError,
     InfeasibleShapeError,
@@ -40,7 +40,7 @@ from .errors import (
     UnsupportedInstanceError,
 )
 from .group import GroupParams
-from .labeling import HAIR_ROLES, S1, S2, S3, X, Y, Z, Labeling, Shape
+from .labeling import HAIR_ROLES, S1, S2, S3, SPINE_ROLES, X, Y, Z, Labeling, Shape
 
 E1_BETA_PM2 = "E1_beta_pm2"
 E2_Y0 = "E2_Y0"
@@ -361,36 +361,33 @@ def _assemble(
     params: GroupParams,
     shape: Shape,
     comps: Sequence[Sequence[int]],
-    spine: Dict[int, str],
-    blocks: Sequence[Dict[int, str]],
+    patterns: Sequence[Sequence[str]],
 ) -> Labeling:
-    """Place role maps on the cosets of group.cosets(params, gens).
+    """Place role patterns on the cosets comps of group.cosets(params, gens).
 
-    ``spine`` maps the subgroup H = comps[0] to roles, spine markers
-    included; blocks[j] maps H to the roles of regular coset comps[j + 1],
-    whose element at position i is min(coset) + H[i].
+    patterns[j] lists the roles of comps[j] in order; patterns[0], on the
+    subgroup H = comps[0], includes the spine markers.  Each pattern is
+    zipped with its coset into the role classes of the labeling.
     """
-    part = dict(spine)
-    for block, comp in zip(blocks, comps[1:]):
-        for h, v in zip(comps[0], comp):
-            part[v] = block[h]
+    part: labeling.Partition = {role: [] for role in SPINE_ROLES + HAIR_ROLES}
+    for pattern, comp in zip(patterns, comps):
+        for role, v in zip(pattern, comp):
+            part[role].append(v)
     return labeling.partition_to_labeling(params, shape, part)
 
 
 def _assemble_plan(params: GroupParams, shape: Shape, plan: ComponentPlan) -> Labeling:
     """Instantiate a ComponentPlan as a labeling of the shape (reflecting back
-    when the plan was made for the mirror shape)."""
-    i = plan.generator
-    comps = group.cosets(params, [i])
-    cycle = [group.scale(params, m, i) for m in range(params.p)]
-    blocks = [dict(zip(cycle, pat)) for pat in plan.mixed]
+    when the plan was made for the mirror shape).  Position m of a plan
+    pattern is m * generator, position m of comps[0], so it is used as is."""
+    comps = group.cosets(params, [plan.generator])
+    patterns = [plan.spine_pattern, *plan.mixed]
     for role in HAIR_ROLES:
-        blocks += [dict.fromkeys(comps[0], role)] * plan.uniform[role]
-    spine = dict(zip(cycle, plan.spine_pattern))
+        patterns += [(role,) * params.p] * plan.uniform[role]
     if not plan.reflected:
-        return _assemble(params, shape, comps, spine, blocks)
+        return _assemble(params, shape, comps, patterns)
     mirror = labeling.make_shape(params, shape.h[::-1])
-    return labeling.reflect(params, _assemble(params, mirror, comps, spine, blocks))
+    return labeling.reflect(params, _assemble(params, mirror, comps, patterns))
 
 
 def empty_x_twin(params: GroupParams, shape: Shape) -> Optional[Shape]:
@@ -542,19 +539,31 @@ def _construct_by_blocks(params: GroupParams, shape: Shape, a: int, b: int) -> O
         if blocks is None:
             continue
         spine = {a: S1, 0: S2, b: S3, **spine_menu[s]}
-        return _assemble(params, shape, comps, spine, [reg_menu[t] for t in blocks])
+        regular = {t: [m[v] for v in subgroup] for t, m in reg_menu.items()}
+        patterns = [[spine[v] for v in subgroup]] + [regular[t] for t in blocks]
+        return _assemble(params, shape, comps, patterns)
     return None
+
+
+def canonical_models(params: GroupParams) -> List[Tuple[int, int]]:
+    """Spine models [a,0,b] sufficient up to translation and automorphism:
+    (e1, m*e1) for m in [2, p-1], plus the independent pair (e1, e2) when k >= 2."""
+    e1 = group.basis_vector(params, 0)
+    models = [(e1, group.scale(params, m, e1)) for m in range(2, params.p)]
+    if params.k >= 2:
+        models.append((e1, group.basis_vector(params, 1)))
+    return models
 
 
 def small_p_patterns(params: GroupParams, shape: Shape) -> Labeling:
     """Constructions for p in {2,3}: block menus on each canonical spine
-    model, in the oracle's order."""
+    model, in order."""
     if params.p not in (2, 3):
         raise UnsupportedInstanceError("small_p_patterns handles p in {2,3} only")
     verdict = feasibility(params, shape)
     if not verdict.feasible:
         raise InfeasibleShapeError(verdict)
-    for a, b in oracle.canonical_models(params):
+    for a, b in canonical_models(params):
         lab = _construct_by_blocks(params, shape, a, b)
         if lab is not None:
             return lab

@@ -8,10 +8,11 @@ labels are stored as sets.  The verifier is the ground truth: a labeling is
 valid iff vertex labels are a bijection onto the group and the p^k - 1 edge
 sums are pairwise distinct.
 
-A Labeling, a VerifyReport, a role partition and the edge-label bit table
-all hold elements as integer indices (see group).  Coordinates appear only
-in the JSON schema, whose reader validates each element as it converts it
-and whose writer formats the indices as it prints them.
+A Labeling, a VerifyReport, a role partition (the cells of each role) and
+the edge-label bit table all hold elements as integer indices (see group).
+Coordinates appear only in the JSON schema, whose reader validates each
+element as it converts it and whose writer formats the indices as it prints
+them.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .errors import (
 )
 from .group import Element, GroupParams
 
-# Role tags for partition maps.
+# Role tags: the keys of a role partition.
 X = "x"
 Y = "y"
 Z = "z"
@@ -100,6 +101,10 @@ class Labeling:
         """Every label in vertex order: the spine, then the x, y, z hairs."""
         return self.spine_ix + self.x_ix + self.y_ix + self.z_ix
 
+    def roles(self) -> Tuple[str, ...]:
+        """The role of every label, in vertices() order."""
+        return SPINE_ROLES + (X,) * len(self.x_ix) + (Y,) * len(self.y_ix) + (Z,) * len(self.z_ix)
+
     def _tuples(self, cells: Sequence[int]) -> Tuple[Element, ...]:
         return tuple(map(self.params.element, cells))
 
@@ -113,29 +118,22 @@ def make_labeling(params: GroupParams, spine, x, y, z) -> Labeling:
     return Labeling(params, tuple(spine), tuple(sorted(x)), tuple(sorted(y)), tuple(sorted(z)))
 
 
-# Role of every element, keyed by index.
-Partition = Dict[int, str]
-
-
-def labeling_to_partition(params: GroupParams, lab: Labeling) -> Partition:
-    roles = list(SPINE_ROLES) + [role for role in HAIR_ROLES for _ in lab.hair_ix(role)]
-    return dict(zip(lab.vertices(), roles))
+# Role classes: each of S1, S2, S3, X, Y, Z -> its cells, in any order.
+Partition = Dict[str, List[int]]
 
 
 def partition_to_labeling(params: GroupParams, shape: Shape, part: Partition) -> Labeling:
-    """Inverse of labeling_to_partition; hair sets come out in canonical order."""
+    """The labeling whose role classes are ``part``: one cell per spine role,
+    hair classes of the shape's sizes, which come out sorted."""
     _check_shape(params, shape)
-    cells: Dict[str, List[int]] = {role: [] for role in SPINE_ROLES + HAIR_ROLES}
-    for v in sorted(part):
-        cells[part[v]].append(v)
-    spine = [cells[role] for role in SPINE_ROLES]
+    spine = [part.get(role, ()) for role in SPINE_ROLES]
     if any(len(c) != 1 for c in spine):
         raise PartitionShapeMismatchError(f"spine roles hold {spine}, need one label each")
-    sizes = tuple(len(cells[r]) for r in HAIR_ROLES)
+    hairs = [part.get(role, ()) for role in HAIR_ROLES]
+    sizes = tuple(map(len, hairs))
     if sizes != shape.h:
         raise PartitionShapeMismatchError(f"role-class sizes {sizes} != shape {shape.h}")
-    # sorted(part) visits the indices in order, so the hair sets are sorted
-    return Labeling(params, tuple(c[0] for c in spine), *(tuple(cells[r]) for r in HAIR_ROLES))
+    return make_labeling(params, [c[0] for c in spine], *hairs)
 
 
 @dataclass(frozen=True)
@@ -203,9 +201,9 @@ def verify(params: GroupParams, shape: Shape, lab: Labeling) -> VerifyReport:
 
     dup_vertex = _first_repeat(idx)
     if dup_vertex is not None:
-        roles = [role for role in HAIR_ROLES for _ in lab.hair_ix(role)]
+        roles = lab.roles()
         dup_vertex = tuple(
-            f"spine{i + 1}" if i < 3 else f"hair {roles[i - 3]} {params.element(idx[i])}"
+            f"spine{i + 1}" if i < 3 else f"hair {roles[i]} {params.element(idx[i])}"
             for i in dup_vertex
         )
     elif len(idx) != n:
@@ -226,19 +224,20 @@ def verify(params: GroupParams, shape: Shape, lab: Labeling) -> VerifyReport:
     return VerifyReport(valid, dup_vertex, dup_edge, missing)
 
 
-def missing_edge_label(params: GroupParams, shape: Shape, lab: Labeling) -> int:
-    """Closed form for the unique group element absent from the edge labels:
-    -(h1*a1 + (h2+1)*a2 + h3*a3), from double-counting the group sum.
+def missing_edge_label(params: GroupParams, shape: Shape, spine: Sequence[int]) -> int:
+    """Closed form for the unique group element absent from the edge labels
+    of a rainbow labeling of shape with spine labels (a1, a2, a3):
+    -(h1*a1 + (h2+1)*a2 + h3*a3), from double-counting the group sum.  In
+    the model [a,0,b] it is -(h1*a + h3*b).
 
-    Precondition: verify has found lab a valid labeling of shape; on any
-    other labeling the result names no missing label.
+    Only a rainbow labeling misses exactly one label; for any other spine
+    the result names no missing label.
     """
     h1, h2, h3 = shape.h
-    a1, a2, a3 = lab.spine_ix
-    acc = 0
-    for c, e in ((h1, a1), (h2 + 1, a2), (h3, a3)):
-        acc = group.add(params, acc, group.scale(params, c, e))
-    return group.neg(params, acc)
+    a1, a2, a3 = spine
+    acc = group.add(params, group.scale(params, -h1, a1), group.scale(params, -h3, a3))
+    # a2 is 0 in the oracle's spine models [a,0,b]
+    return group.add(params, acc, group.scale(params, -h2 - 1, a2)) if a2 else acc
 
 
 def role_label_bits(

@@ -7,9 +7,9 @@ distinct.  Translation plus group automorphisms reduce the spine models to a
 canonical family, and search decides each model in order:
 
 * Missing-label prune.  The edge labels sum to h1*a + h3*b, since the group
-  elements sum to 0, so the one element no edge carries is -(h1*a + h3*b).
-  The spine edges always carry a and b, so a model whose missing label is a
-  or b is impossible; it costs O(1) to skip.
+  elements sum to 0, so the one element no edge carries is -(h1*a + h3*b),
+  labeling.missing_edge_label of the spine (a, 0, b).  The spine edges
+  carry a and b, so a model missing a or b is impossible; it costs O(1).
 * Coset lemma.  Each role keeps a cell's label in the cell's coset of
   H = span(a, b), so the model is realizable exactly when the spine coset H
   realizes some count triple s and h - s is a sum of triples realizable on
@@ -23,7 +23,11 @@ canonical family, and search decides each model in order:
   remaining role quotas, and pick the most constrained cell, ties to the
   lowest canonical index.  A SearchBudget counts these nodes only.
 
-Spine models, role partitions, and the labeling and models an OracleVerdict
+No budget counts the per-coset menus.  At k >= 3 those of the model
+(e1, e2) cover p^2 cells, too many to enumerate at p >= 7 (Z_7^3 below
+MAX_ORDER), so check_order refuses those groups as well as larger ones.
+
+Spine models, role classes, and the labeling and models an OracleVerdict
 reports, hold elements as integer indices (see group).
 """
 
@@ -31,9 +35,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from . import group, labeling
+from . import constructor, labeling
 from .errors import OrderLimitError
 from .group import GroupParams
 from .labeling import Labeling, Shape
@@ -67,22 +71,13 @@ class OracleVerdict:
     elapsed_ms: float = 0.0
 
 
-def canonical_models(params: GroupParams) -> List[Tuple[int, int]]:
-    """Spine models [a,0,b] sufficient up to translation and automorphism:
-    (e1, m*e1) for m in [2, p-1], plus the independent pair (e1, e2) when k >= 2."""
-    e1 = group.basis_vector(params, 0)
-    models = [(e1, group.scale(params, m, e1)) for m in range(2, params.p)]
-    if params.k >= 2:
-        models.append((e1, group.basis_vector(params, 1)))
-    return models
-
-
 def check_order(params: GroupParams) -> None:
-    """Raise OrderLimitError when the group is too large to search."""
-    if params.order > MAX_ORDER:
+    """Raise OrderLimitError when the group is too large to search: above
+    MAX_ORDER, or at k >= 3 with p >= 7 (see the module docstring)."""
+    if params.order > MAX_ORDER or (params.k >= 3 and params.p >= 7):
         raise OrderLimitError(
-            f"Z_{params.p}^{params.k} has order {params.order}; the exhaustive "
-            f"search handles groups of order at most {MAX_ORDER}"
+            f"Z_{params.p}^{params.k} has order {params.order}; the exhaustive search "
+            f"handles groups of order at most {MAX_ORDER}, and k >= 3 only for p <= 5"
         )
 
 
@@ -122,8 +117,8 @@ def _search_model(
     a: int,
     b: int,
     budget: _Budget,
-) -> Optional[Dict[int, str]]:
-    """Backtracking over one model; returns a full role partition or None.
+) -> Optional[labeling.Partition]:
+    """Backtracking over one model; returns its role classes or None.
 
     The model must be non-degenerate (a != b, both nonzero); search checks
     that and calls it only when a, b span the whole group.  None means
@@ -179,9 +174,10 @@ def _search_model(
         return False
 
     if backtrack(sum(1 << v for v in free), bx, by, bz):
-        part = {a: labeling.S1, 0: labeling.S2, b: labeling.S3}
+        roles = labeling.SPINE_ROLES + labeling.HAIR_ROLES
+        part: labeling.Partition = dict(zip(roles, ([a], [0], [b], [], [], [])))
         for v in free:
-            part[v] = labeling.HAIR_ROLES[role_of[v]]
+            part[labeling.HAIR_ROLES[role_of[v]]].append(v)
         return part
     return None
 
@@ -204,23 +200,19 @@ def search(
     models unless ``models``, pairs of element indices, is given); see the
     module docstring.
 
-    Raises OrderLimitError above MAX_ORDER."""
-    from . import constructor  # local import: constructor imports this module
-
+    Raises OrderLimitError where check_order does."""
     labeling._check_shape(params, shape)
     check_order(params)
     start = time.monotonic()
     state = _Budget(budget)
     if models is None:
-        models = canonical_models(params)
-    h1, _, h3 = shape.h
+        models = constructor.canonical_models(params)
     tried: List[Tuple[int, int]] = []
     for a, b in models:
         tried.append((a, b))
         if a == b or 0 in (a, b):
             continue  # degenerate model: two spine vertices share a label
-        missing = group.add(params, group.scale(params, -h1, a), group.scale(params, -h3, b))
-        if missing in (a, b):
+        if labeling.missing_edge_label(params, shape, (a, 0, b)) in (a, b):
             continue
         if _spans_group(params, a, b):
             part = _search_model(params, shape, a, b, state)
@@ -251,8 +243,6 @@ def table_row(
     cross_check: bool = True,
 ) -> dict:
     """One feasibility-table row (JSON-lines schema)."""
-    from . import constructor  # local import: constructor imports this module
-
     verdict = constructor.feasibility(params, shape)
     row: dict = {"h": list(shape.h)}
     row["predicate"] = (

@@ -16,9 +16,9 @@ from testkit import (
     check_forbidden,
     elements,
     enumerate_table,
-    index_keys,
     matrix_is_invertible,
     naive_models,
+    role_classes,
     translate,
     tuple_models,
     zero,
@@ -127,14 +127,14 @@ def test_criterion_5_fa_equivalence_exhaustive_3_2():
     start = time.monotonic()
     params = GroupParams(3, 2)
     free_template = [e for e in elements(params)]
-    for a, b in tuple_models(params, oracle.canonical_models(params)):
+    for a, b in tuple_models(params, constructor.canonical_models(params)):
         free = [e for e in free_template if e not in (zero(params), a, b)]
         for roles in itertools.product(HAIR_ROLES, repeat=len(free)):
             part = {a: S1, zero(params): S2, b: S3}
             part.update(zip(free, roles))
             counts = (roles.count(X), roles.count(Y), roles.count(Z))
             shape = labeling.make_shape(params, counts)
-            lab = labeling.partition_to_labeling(params, shape, index_keys(params, part))
+            lab = labeling.partition_to_labeling(params, shape, role_classes(params, part))
             fa_clean = check_forbidden(params, (a, b), part) == []
             assert fa_clean == labeling.verify(params, shape, lab).valid, (a, b, roles)
     assert time.monotonic() - start < 60.0
@@ -155,7 +155,7 @@ def test_criterion_6_structural_invariants_3_2():
             part.update(zip(free, roles))
             counts = (roles.count(X), roles.count(Y), roles.count(Z))
             shape = labeling.make_shape(params, counts)
-            lab = labeling.partition_to_labeling(params, shape, index_keys(params, part))
+            lab = labeling.partition_to_labeling(params, shape, role_classes(params, part))
             if not labeling.verify(params, shape, lab).valid:
                 continue
             if in_span:
@@ -200,7 +200,7 @@ def test_criterion_8_missing_label_closed_form():
     for params, shape, lab in pool:
         report = labeling.verify(params, shape, lab)
         assert report.valid
-        assert labeling.missing_edge_label(params, shape, lab) == report.missing_edge_label
+        assert labeling.missing_edge_label(params, shape, lab.spine_ix) == report.missing_edge_label
 
 
 def test_criterion_9_symmetry_breaking_validation():

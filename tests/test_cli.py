@@ -34,6 +34,16 @@ def no_group_listing(monkeypatch):
     monkeypatch.setattr(group, "cosets", refuse)
 
 
+@pytest.fixture
+def no_menu_search(monkeypatch):
+    """Fail the test if anything enumerates a block menu."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated a block menu")
+
+    monkeypatch.setattr(constructor, "_component_patterns", refuse)
+
+
 class TestLabel:
     def test_json_roundtrip(self, capsys):
         code, out, _ = run(capsys, "label", "--p", "3", "--k", "2", "--hairs", "1,3,2", "--format", "json")
@@ -209,6 +219,15 @@ class TestOracle:
         assert out == ""
         assert "at most 512" in err
 
+    def test_z7_3_exit_2(self, capsys, no_menu_search):
+        code, out, err = run(
+            capsys, "oracle", "--p", "7", "--k", "3", "--hairs", "6,0,334",
+            "--timeout-ms", "1000", "--node-limit", "1000",
+        )
+        assert code == 2
+        assert out == ""
+        assert "p <= 5" in err
+
 
 class TestTable:
     def test_2_2(self, capsys):
@@ -233,6 +252,12 @@ class TestTable:
         assert code == 2
         assert out == ""
         assert "at most 512" in err
+
+    def test_z7_3_exit_2(self, capsys, no_menu_search):
+        code, out, err = run(capsys, "table", "--p", "7", "--k", "3")
+        assert code == 2
+        assert out == ""
+        assert "p <= 5" in err
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_exit_2(self, capsys, jobs):

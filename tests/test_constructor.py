@@ -379,7 +379,7 @@ def _brute_force_menu(params, a, b, spine):
 def _menu_models():
     for p, k, cyclic_only in ((2, 3, False), (3, 2, False), (5, 2, True), (7, 2, True)):
         params = GroupParams(p, k)
-        models = oracle.canonical_models(params)
+        models = constructor.canonical_models(params)
         for a, b in models[:-1] if cyclic_only else models:
             yield model_param(params, a, b)
 
@@ -398,7 +398,7 @@ def _decompose_models(groups):
     """Canonical models of the groups; at p >= 5 the cyclic ones only."""
     for p, k in groups:
         params = GroupParams(p, k)
-        for a, b in oracle.canonical_models(params):
+        for a, b in constructor.canonical_models(params):
             if p >= 5 and b not in group.span(params, [a]):
                 continue
             yield model_param(params, a, b)

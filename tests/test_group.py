@@ -13,7 +13,7 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from rainbowcat import group, labeling, oracle
+from rainbowcat import constructor, group, labeling
 from rainbowcat.errors import InvalidElementError
 from rainbowcat.group import GroupParams
 from testkit import TupleGroup, apply_matrix, elements, index, matrix_is_invertible, payload, sub, zero
@@ -209,7 +209,7 @@ class TestIndexArithmetic:
 def _coset_cases():
     for p, k in ((2, 4), (3, 3), (5, 2)):
         prm = GroupParams(p, k)
-        for a, b in oracle.canonical_models(prm):
+        for a, b in constructor.canonical_models(prm):
             yield pytest.param(prm, [a, b], id=f"Z{p}^{k}-{a}-{b}")
     prm = GroupParams(2, 3)
     yield pytest.param(prm, [index(prm, (1, 1, 0))], id="Z2^3-110")

@@ -10,14 +10,14 @@ from hypothesis import given, strategies as st
 from rainbowcat import constructor, labeling, oracle
 from rainbowcat.errors import InvalidShapeError, PartitionShapeMismatchError, RainbowError
 from rainbowcat.group import GroupParams
-from rainbowcat.labeling import S1, S2, S3, X, Y, Z
+from rainbowcat.labeling import HAIR_ROLES, S1, S2, S3, SPINE_ROLES, X, Y, Z
 from testkit import (
     ModelMismatchError,
     TupleGroup,
     apply_automorphism,
     check_forbidden,
     elements,
-    index_keys,
+    role_classes,
     translate,
     zero,
 )
@@ -66,21 +66,39 @@ class TestPartitionCorrespondence:
         params = GroupParams(2, 2)
         part = {(1, 0): S1, (0, 0): S2, (0, 1): S3, (1, 1): Y}
         shape = labeling.make_shape(params, (0, 1, 0))
-        lab = labeling.partition_to_labeling(params, shape, index_keys(params, part))
+        lab = labeling.partition_to_labeling(params, shape, role_classes(params, part))
         assert lab.spine == ((1, 0), (0, 0), (0, 1))
         assert lab.y == ((1, 1),)
 
     def test_roundtrip_on_valid_labelings(self):
+        # the role classes read from a labeling give the same labeling back
         for params, shape, lab in VALID:
-            part = labeling.labeling_to_partition(params, lab)
+            part = {role: [] for role in SPINE_ROLES + HAIR_ROLES}
+            for v, role in zip(lab.vertices(), lab.roles()):
+                part[role].append(v)
             assert labeling.partition_to_labeling(params, shape, part) == lab
+
+    @pytest.mark.parametrize("s1", [[], [1, 2]], ids=["empty", "two-cells"])
+    def test_spine_class_needs_one_cell(self, s1):
+        params = GroupParams(2, 2)
+        shape = labeling.make_shape(params, (0, 1, 0))
+        part = {S1: s1, S2: [0], S3: [1], X: [], Y: [3], Z: []}
+        with pytest.raises(PartitionShapeMismatchError):
+            labeling.partition_to_labeling(params, shape, part)
+
+    def test_hair_classes_come_out_sorted(self):
+        params = GroupParams(3, 2)
+        shape = labeling.make_shape(params, (2, 3, 1))
+        part = {S1: [3], S2: [0], S3: [6], X: [8, 1], Y: [7, 5, 2], Z: [4]}
+        lab = labeling.partition_to_labeling(params, shape, part)
+        assert lab == labeling.Labeling(params, (3, 0, 6), (1, 8), (2, 5, 7), (4,))
 
     def test_size_mismatch(self):
         params = GroupParams(2, 2)
         part = {(1, 0): S1, (0, 0): S2, (0, 1): S3, (1, 1): Y}
         shape = labeling.make_shape(params, (1, 0, 0))
         with pytest.raises(PartitionShapeMismatchError):
-            labeling.partition_to_labeling(params, shape, index_keys(params, part))
+            labeling.partition_to_labeling(params, shape, role_classes(params, part))
 
 
 class TestVerify:
@@ -120,13 +138,13 @@ class TestVerify:
     def test_missing_edge_label_matches_set_difference(self):
         for params, shape, lab in VALID:
             report = labeling.verify(params, shape, lab)
-            assert report.missing_edge_label == labeling.missing_edge_label(params, shape, lab)
+            assert report.missing_edge_label == labeling.missing_edge_label(params, shape, lab.spine_ix)
 
     def test_missing_is_zero_at_p2(self):
         # coefficients h1, h2+1, h3 all vanish mod 2 on feasible p=2 shapes
         for params, shape, lab in VALID:
             if params.p == 2:
-                assert labeling.missing_edge_label(params, shape, lab) == 0
+                assert labeling.missing_edge_label(params, shape, lab.spine_ix) == 0
 
 
 class TestCheckForbidden:

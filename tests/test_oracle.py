@@ -4,19 +4,20 @@ import itertools
 
 import pytest
 
-from rainbowcat import labeling, oracle
+from rainbowcat import constructor, labeling, oracle
+from rainbowcat.errors import OrderLimitError
 from rainbowcat.group import GroupParams
-from testkit import enumerate_table, index, model_param, naive_models, tuple_models
+from testkit import enumerate_table, index, model_param, naive_models, role_classes, tuple_models
 
 
 class TestCanonicalModels:
     def test_counts(self):
-        assert len(oracle.canonical_models(GroupParams(5, 2))) == 4
+        assert len(constructor.canonical_models(GroupParams(5, 2))) == 4
         for params, models in (
             (GroupParams(2, 2), [((1, 0), (0, 1))]),
             (GroupParams(3, 1), [((1,), (2,))]),
         ):
-            assert tuple_models(params, oracle.canonical_models(params)) == models
+            assert tuple_models(params, constructor.canonical_models(params)) == models
 
     def test_naive_models_count(self):
         params = GroupParams(2, 2)
@@ -65,7 +66,7 @@ class TestSearch:
         # budget gone and counts nothing
         params = GroupParams(5, 2)
         shape = labeling.make_shape(params, (9, 1, 12))
-        a, b = oracle.canonical_models(params)[-1]
+        a, b = constructor.canonical_models(params)[-1]
         for limit in (1, 10, 57):
             budget = oracle._Budget(oracle.SearchBudget(node_limit=limit))
             tick, descents = budget.tick, []
@@ -84,7 +85,7 @@ class TestSearch:
     def test_infeasible_stable_under_model_order(self):
         params = GroupParams(3, 2)
         shape = labeling.make_shape(params, (0, 1, 5))
-        models = oracle.canonical_models(params)
+        models = constructor.canonical_models(params)
         for ms in (models, models[::-1]):
             assert oracle.search(params, shape, models=ms).outcome == oracle.INFEASIBLE
 
@@ -101,7 +102,7 @@ def _rainbow_counts(params, a, b):
         shape = labeling.make_shape(params, h)
         part = {a: labeling.S1, 0: labeling.S2, b: labeling.S3}
         part.update(zip(free, roles))
-        lab = labeling.partition_to_labeling(params, shape, part)
+        lab = labeling.partition_to_labeling(params, shape, role_classes(params, part))
         if labeling.verify(params, shape, lab).valid:
             counts.add(h)
     return counts
@@ -110,7 +111,7 @@ def _rainbow_counts(params, a, b):
 def _canonical_model_params():
     for p, k in ((2, 3), (3, 2), (7, 1)):
         params = GroupParams(p, k)
-        for a, b in oracle.canonical_models(params):
+        for a, b in constructor.canonical_models(params):
             yield model_param(params, a, b)
 
 
@@ -137,7 +138,7 @@ def test_search_model_matches_brute_force(params, a, b):
 def _decision_cases():
     for p, k in ((2, 3), (2, 4), (3, 2), (5, 2)):
         params = GroupParams(p, k)
-        for a, b in oracle.canonical_models(params):
+        for a, b in constructor.canonical_models(params):
             yield model_param(params, a, b)
     # the cyclic model of Z_3^3 costs 14.5 M whole-group nodes; left out
     z33 = GroupParams(3, 3)
@@ -159,13 +160,33 @@ def test_search_model_recursion_at_order_limit():
     # first descent, 509 recursion levels deep
     params = GroupParams(2, 9)
     shape = labeling.make_shape(params, (0, 509, 0))
-    a, b = oracle.canonical_models(params)[0]
+    a, b = constructor.canonical_models(params)[0]
     budget = oracle._Budget(oracle.SearchBudget(node_limit=600))
     part = oracle._search_model(params, shape, a, b, budget)
     assert part is not None
     assert budget.nodes == 509
     lab = labeling.partition_to_labeling(params, shape, part)
     assert labeling.verify(params, shape, lab).valid
+
+
+def test_z7_3_refused_before_menu_search(monkeypatch):
+    # the block menus of the model (e1, e2) of Z_7^3 cover 49 cells, a
+    # search no budget counts; check_order refuses the group before it
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated a block menu")
+
+    monkeypatch.setattr(constructor, "_component_patterns", refuse)
+    params = GroupParams(7, 3)
+    budget = oracle.SearchBudget(timeout_ms=1000, node_limit=1000)
+    with pytest.raises(OrderLimitError):
+        oracle.search(params, labeling.make_shape(params, (6, 0, 334)), budget)
+
+
+def test_z5_3_row_decided():
+    # a row of Z_5^3 still goes through the 25-cell menus of (e1, e2)
+    params = GroupParams(5, 3)
+    row = oracle.table_row(params, labeling.make_shape(params, (9, 1, 112)))
+    assert (row["predicate"], row["oracle"], row["agree"]) == ("infeasible:E3_Y1", oracle.INFEASIBLE, True)
 
 
 class TestShapesAndTable:

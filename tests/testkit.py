@@ -8,14 +8,14 @@ against."""
 
 import itertools
 import json
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import pytest
 
 from rainbowcat import group, labeling, oracle
 from rainbowcat.errors import RainbowError
 from rainbowcat.group import Element, GroupParams
-from rainbowcat.labeling import HAIR_ROLES, S1, S2, S3, X, Y, Z, Labeling, Shape
+from rainbowcat.labeling import HAIR_ROLES, S1, S2, S3, SPINE_ROLES, X, Y, Z, Labeling, Shape
 
 
 def elements(params: GroupParams) -> List[Element]:
@@ -88,9 +88,14 @@ def payload(params: GroupParams, shape: Shape, spine, x=(), y=(), z=()) -> dict:
     }
 
 
-def index_keys(params: GroupParams, d: Dict[Element, object]) -> Dict[int, object]:
-    """A mapping keyed by tuple elements, keyed by index (a role partition)."""
-    return dict(zip(map(TupleGroup(params).ix, d), d.values()))
+def role_classes(params: GroupParams, part: Dict[Union[Element, int], str]) -> labeling.Partition:
+    """A role per element, keyed by tuple element or by index, as the
+    package's role partition: each role -> the indices of its cells."""
+    ix = TupleGroup(params).ix
+    classes: labeling.Partition = {role: [] for role in SPINE_ROLES + HAIR_ROLES}
+    for e, role in part.items():
+        classes[role].append(e if type(e) is int else ix(e))
+    return classes
 
 
 def tuple_keys(params: GroupParams, d: Dict[int, object]) -> Dict[Element, object]:
@@ -211,7 +216,7 @@ def enumerate_table(
 
 def naive_models(params: GroupParams) -> List[Tuple[int, int]]:
     """Translated forms (a1-a2, a3-a2) of every distinct spine triple, as
-    index pairs: the reference that oracle.canonical_models is checked
+    index pairs: the reference that constructor.canonical_models is checked
     against."""
     out = []
     elems = range(params.order)
