@@ -13,7 +13,7 @@ Exit codes are the machine contract:
   and for Z_7^3, whose block menus it cannot enumerate (oracle.check_order)
 * verify: 0 valid, 1 invalid, 2 parse error
 * every command: 2 when the reader closes stdout before all output is
-  written (a broken pipe), with no traceback
+  written (a broken pipe), with no traceback, and 2 when memory runs out
 
 Data goes to stdout, diagnostics to stderr.
 """
@@ -81,17 +81,15 @@ def _dot(params: GroupParams, lab: Labeling) -> str:
 def cmd_label(args) -> int:
     params, shape = _parse_instance(args.p, args.k, args.hairs)
     try:
-        lab = constructor.construct(params, shape)
+        twin, plan, lab = constructor.build(params, shape)
     except constructor.InfeasibleShapeError as exc:
         print(f"infeasible: {exc.verdict.exception}")
         if exc.verdict.detail:
             print(exc.verdict.detail, file=sys.stderr)
         return 1
-    if args.verbose and params.p >= 5:
-        twin = constructor.empty_x_twin(params, shape)
+    if args.verbose:
         if twin:
             print(f"empty-X corner; built as the isomorphic tree C{twin.h}", file=sys.stderr)
-        plan = constructor.plan_components(params, twin or shape)
         print(json.dumps(plan.to_debug_dict(params)), file=sys.stderr)
     if args.format == "json":
         print(labeling.labeling_to_json(params, shape, lab))
@@ -214,7 +212,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("label", help="construct a labeling")
     instance_flags(sp)
     sp.add_argument("--format", choices=["text", "json", "dot"], default="text")
-    sp.add_argument("--verbose", action="store_true", help="dump the component plan to stderr")
+    sp.add_argument("--verbose", action="store_true",
+                    help="print the plan that built the labeling to stderr, as JSON")
     sp.set_defaults(func=cmd_label)
 
     sp = sub.add_parser("feasible", help="closed-form feasibility verdict")
@@ -262,6 +261,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     except RainbowError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

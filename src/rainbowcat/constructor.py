@@ -1,9 +1,12 @@
 """Feasibility predicate and constructive engine for three-spine caterpillars.
 
 Feasibility is a closed-form residue test (three exception families for
-p >= 5, two for p = 3, a parity rule for p = 2).  Construction places a role
-pattern on every coset of the subgroup the spine labels generate, through one
-assembler; nothing in it searches over labelings.  The patterns come from:
+p >= 5, two for p = 3, a parity rule for p = 2).  Construction picks one
+plan, a ComponentPlan: a spine model [a,0,b] and a role pattern per coset of
+H = span(a, b), in group.cosets order, the spine coset first with its
+markers s1, s2, s3.  build picks the plan once, realizes it once (_realize,
+each pattern zipped with its coset) and verifies it once; nothing in it
+searches over labelings.  The plans come from:
 
 * residue sum p-3: one spine-component pattern in a general model [a,0,b];
 * residue sum 2p-3: spine pattern plus one or two mixed regular cycles,
@@ -15,15 +18,16 @@ assembler; nothing in it searches over labelings.  The patterns come from:
 
 So at p >= 5 every feasible shape takes a recipe or the empty-X twin.  Only
 p in {2,3} walks the canonical spine models (small_p_patterns).
-Each model is decided by per-coset pattern menus, found by a depth-first
-search on the shared edge-label bits (labeling.role_label_bits), and a
-decomposition of the hair counts into menu triples (_decompose): a lookup
-in a table, filled once per menu, of the minimal sums of its mixed triples
-per residue class (|H| sums), completed with uniform blocks.  construct
-refuses groups of order above MAX_ORDER, after the closed-form verdict.
+Each model is decided by per-coset menus: per role-count triple, one role
+pattern in H's order, found by a depth-first search on the shared edge-label
+bits (labeling.role_label_bits).  A decomposition of the hair counts into
+menu triples (_decompose) is a lookup in a table, filled once per menu, of
+the minimal sums of its mixed triples per residue class (|H| sums),
+completed with uniform blocks.  build refuses groups of order above
+MAX_ORDER, after the closed-form verdict.
 
-Models, generators, cosets, role classes and the Labeling construct returns
-all hold elements as integer indices (see group).
+Models, cosets, role classes and the Labeling build returns all hold
+elements as integer indices (see group).
 """
 
 from __future__ import annotations
@@ -197,14 +201,32 @@ def pattern_counts(pat: Sequence[str]) -> Tuple[int, int, int]:
 
 @dataclass(frozen=True)
 class ComponentPlan:
-    """Blueprint for assembling a labeling out of per-component patterns."""
+    """Blueprint of a labeling: the spine model [a,0,b] and a role pattern per
+    coset of span(a, b).
+
+    patterns[j] lists the roles of coset j of group.cosets(params, model) in
+    order; patterns[0], on the spine coset, holds the markers s1, s2, s3 at
+    a, 0, b.  When reflected, the patterns place the mirror shape.
+    """
 
     model: Tuple[int, int]
-    generator: int
-    spine_pattern: Tuple[str, ...]
-    mixed: Tuple[Tuple[str, ...], ...]
-    uniform: Dict[str, int]
+    patterns: Tuple[Tuple[str, ...], ...]
     reflected: bool
+
+    @property
+    def spine_pattern(self) -> Tuple[str, ...]:
+        return self.patterns[0]
+
+    @property
+    def mixed(self) -> Tuple[Tuple[str, ...], ...]:
+        """The regular patterns that hold more than one role."""
+        return tuple(pat for pat in self.patterns[1:] if len(set(pat)) > 1)
+
+    @property
+    def uniform(self) -> Dict[str, int]:
+        """The number of regular patterns that hold one role only, per role."""
+        n = len(self.spine_pattern)
+        return {role: self.patterns[1:].count((role,) * n) for role in HAIR_ROLES}
 
     @property
     def spine_triple(self) -> Tuple[int, int, int]:
@@ -216,39 +238,39 @@ class ComponentPlan:
 
     def to_debug_dict(self, params: GroupParams) -> dict:
         """The plan as JSON-ready values, elements as coordinate lists."""
-        coords = [list(params.element(e)) for e in self.model + (self.generator,)]
         return {
-            "model": coords[:2],
-            "generator": coords[2],
+            "model": [list(params.element(e)) for e in self.model],
             "reflected": self.reflected,
             "spine": {"pattern": list(self.spine_pattern), "triple": list(self.spine_triple)},
             "mixed": [
                 {"pattern": list(p), "triple": list(t)}
                 for p, t in zip(self.mixed, self.mixed_triples)
             ],
-            "uniform": dict(self.uniform),
+            "uniform": self.uniform,
         }
 
 
 def _finish_plan(params, h, a_prime, b_prime, spine, mixed, reflected) -> ComponentPlan:
-    """Attach uniform fill counts; reject plans whose totals cannot meet h."""
+    """Append the uniform patterns that fill the plan up to h, after the
+    spine and mixed ones; reject plans whose totals cannot meet h.  The model
+    is (a'*e1, b'*e1), whose cosets are those of e1, so position m of a
+    pattern is m*e1 on its coset."""
     p = params.p
+    patterns = [spine, *mixed]
     totals = [0, 0, 0]
-    for pat in [spine] + list(mixed):
+    for pat in patterns:
         for t, c in zip(range(3), pattern_counts(pat)):
             totals[t] += c
-    uniform: Dict[str, int] = {}
     for role, total, want in zip(HAIR_ROLES, totals, h):
         rem = want - total
         if rem < 0 or rem % p:
             raise ConstructionError(f"plan totals {totals} cannot be filled to {h}")
-        uniform[role] = rem // p
-    n_regular = params.order // p - 1
-    if len(mixed) + sum(uniform.values()) != n_regular:
+        patterns += [(role,) * p] * (rem // p)
+    if len(patterns) != params.order // p:
         raise ConstructionError("component count mismatch")
     e1 = group.basis_vector(params, 0)
     model = (group.scale(params, a_prime, e1), group.scale(params, b_prime, e1))
-    return ComponentPlan(model, e1, tuple(spine), tuple(mixed), uniform, reflected)
+    return ComponentPlan(model, tuple(patterns), reflected)
 
 
 def plan_components(params: GroupParams, shape: Shape) -> ComponentPlan:
@@ -357,37 +379,18 @@ def _plan_general(params, h, a, b, g) -> ComponentPlan:
     return _finish_plan(params, h, a_prime, b_prime, spine, mixed, reflected)
 
 
-def _assemble(
-    params: GroupParams,
-    shape: Shape,
-    comps: Sequence[Sequence[int]],
-    patterns: Sequence[Sequence[str]],
-) -> Labeling:
-    """Place role patterns on the cosets comps of group.cosets(params, gens).
-
-    patterns[j] lists the roles of comps[j] in order; patterns[0], on the
-    subgroup H = comps[0], includes the spine markers.  Each pattern is
-    zipped with its coset into the role classes of the labeling.
-    """
+def _realize(params: GroupParams, shape: Shape, plan: ComponentPlan) -> Labeling:
+    """The labeling of the shape that the plan places: each pattern zipped
+    with its coset of span(plan.model) into the role classes, reflected back
+    when the plan was made for the mirror shape."""
     part: labeling.Partition = {role: [] for role in SPINE_ROLES + HAIR_ROLES}
-    for pattern, comp in zip(patterns, comps):
+    for pattern, comp in zip(plan.patterns, group.cosets(params, plan.model)):
         for role, v in zip(pattern, comp):
             part[role].append(v)
-    return labeling.partition_to_labeling(params, shape, part)
-
-
-def _assemble_plan(params: GroupParams, shape: Shape, plan: ComponentPlan) -> Labeling:
-    """Instantiate a ComponentPlan as a labeling of the shape (reflecting back
-    when the plan was made for the mirror shape).  Position m of a plan
-    pattern is m * generator, position m of comps[0], so it is used as is."""
-    comps = group.cosets(params, [plan.generator])
-    patterns = [plan.spine_pattern, *plan.mixed]
-    for role in HAIR_ROLES:
-        patterns += [(role,) * params.p] * plan.uniform[role]
     if not plan.reflected:
-        return _assemble(params, shape, comps, patterns)
+        return labeling.partition_to_labeling(params, shape, part)
     mirror = labeling.make_shape(params, shape.h[::-1])
-    return labeling.reflect(params, _assemble(params, mirror, comps, patterns))
+    return labeling.reflect(params, labeling.partition_to_labeling(params, mirror, part))
 
 
 def empty_x_twin(params: GroupParams, shape: Shape) -> Optional[Shape]:
@@ -433,29 +436,30 @@ def _component_patterns(
     params: GroupParams,
     a: int,
     b: int,
-    cells: Tuple[int, ...],
     spine: bool,
-) -> Dict[Tuple[int, int, int], Dict[int, str]]:
-    """All realizable role-count triples on one component, with one
-    representative rainbow assignment each (first in lex enumeration order).
+) -> Dict[Tuple[int, int, int], Tuple[str, ...]]:
+    """All realizable role-count triples on one coset of H = span(a, b), in
+    triple order, with one representative rainbow assignment each (first in
+    lex enumeration order) as a role pattern in H's order.
 
-    A depth-first search over the sorted free cells tries roles x, y, z and
-    prunes a role whose edge label (labeling.role_label_bits) is already
-    used.  For spine components the cells include a, 0, b (kept unlabeled)
-    and the spine-edge labels a, b start used; regular components start with
-    no label used and may be translated to any coset afterwards.
+    A depth-first search over the free cells of H, in order, tries roles x,
+    y, z and prunes a role whose edge label (labeling.role_label_bits) is
+    already used.  On the spine coset the cells a, 0, b hold the markers s1,
+    s2, s3 and the spine-edge labels a, b start used; regular cosets start
+    with no label used, and a pattern of H fits any of them.
     """
-    spine_cells = {a, 0, b} if spine else set()
-    free = tuple(c for c in sorted(cells) if c not in spine_cells)
+    cells = group.span(params, [a, b])
+    markers = {a: S1, 0: S2, b: S3} if spine else {}
+    free = [c for c in cells if c not in markers]
     spine_bits, table = labeling.role_label_bits(params, a, b, free)
-    out: Dict[Tuple[int, int, int], Dict[int, str]] = {}
+    found: Dict[Tuple[int, int, int], Tuple[str, ...]] = {}
     roles: List[str] = []
 
     def extend(used: int) -> None:
         if len(roles) == len(free):
             triple = pattern_counts(roles)
-            if triple not in out:
-                out[triple] = dict(zip(free, roles))
+            if triple not in found:
+                found[triple] = tuple(roles)
             return
         for role, bit in zip(HAIR_ROLES, table[free[len(roles)]]):
             if not used & bit:
@@ -463,8 +467,12 @@ def _component_patterns(
                 extend(used | bit)
                 roles.pop()
 
+    def placed(hair_roles: Tuple[str, ...]) -> Tuple[str, ...]:
+        rest = iter(hair_roles)
+        return tuple(markers[c] if c in markers else next(rest) for c in cells)
+
     extend(spine_bits if spine else 0)
-    return out
+    return {t: placed(found[t]) for t in sorted(found)}
 
 
 @functools.lru_cache(maxsize=None)
@@ -523,25 +531,22 @@ def _decompose(
     return None
 
 
-def _construct_by_blocks(params: GroupParams, shape: Shape, a: int, b: int) -> Optional[Labeling]:
-    """Complete per-model decision procedure via block enumeration + exact
-    decomposition of the hair counts.  None means unrealizable in this model.
-    oracle.search decides every model that spans a proper subgroup with it."""
-    comps = group.cosets(params, [a, b])
-    subgroup = tuple(comps[0])
-    spine_menu = _component_patterns(params, a, b, subgroup, True)
-    reg_menu = _component_patterns(params, a, b, subgroup, False)
-    for s in sorted(spine_menu):
+def _block_plan(params: GroupParams, shape: Shape, a: int, b: int) -> Optional[ComponentPlan]:
+    """Complete per-model decision procedure: the first spine-menu entry,
+    in triple order, whose remainder of the hair counts decomposes into
+    regular-menu triples gives the plan.  None means unrealizable in this
+    model.  oracle.search decides every model that spans a proper subgroup
+    with it."""
+    spine_menu = _component_patterns(params, a, b, True)
+    reg_menu = _component_patterns(params, a, b, False)
+    triples = tuple(reg_menu)
+    for s, spine in spine_menu.items():
         rest = tuple(hv - sv for hv, sv in zip(shape.h, s))
-        if any(v < 0 for v in rest):
+        if min(rest) < 0:
             continue
-        blocks = _decompose(rest, tuple(reg_menu))
-        if blocks is None:
-            continue
-        spine = {a: S1, 0: S2, b: S3, **spine_menu[s]}
-        regular = {t: [m[v] for v in subgroup] for t, m in reg_menu.items()}
-        patterns = [[spine[v] for v in subgroup]] + [regular[t] for t in blocks]
-        return _assemble(params, shape, comps, patterns)
+        blocks = _decompose(rest, triples)
+        if blocks is not None:
+            return ComponentPlan((a, b), (spine, *map(reg_menu.__getitem__, blocks)), False)
     return None
 
 
@@ -555,29 +560,31 @@ def canonical_models(params: GroupParams) -> List[Tuple[int, int]]:
     return models
 
 
-def small_p_patterns(params: GroupParams, shape: Shape) -> Labeling:
-    """Constructions for p in {2,3}: block menus on each canonical spine
-    model, in order."""
+def small_p_patterns(params: GroupParams, shape: Shape) -> ComponentPlan:
+    """The plan for p in {2,3}: that of the first canonical spine model whose
+    block menus decide the shape."""
     if params.p not in (2, 3):
         raise UnsupportedInstanceError("small_p_patterns handles p in {2,3} only")
     verdict = feasibility(params, shape)
     if not verdict.feasible:
         raise InfeasibleShapeError(verdict)
     for a, b in canonical_models(params):
-        lab = _construct_by_blocks(params, shape, a, b)
-        if lab is not None:
-            return lab
+        plan = _block_plan(params, shape, a, b)
+        if plan is not None:
+            return plan
     raise ConstructionError(
         f"no canonical spine model realizes shape {shape.h} "
         f"over Z_{params.p}^{params.k}"
     )
 
 
-def construct(params: GroupParams, shape: Shape) -> Labeling:
-    """Produce a verified labeling for any feasible shape (deterministic).
+def build(params: GroupParams, shape: Shape) -> Tuple[Optional[Shape], ComponentPlan, Labeling]:
+    """Plan, realize and verify a labeling of a feasible shape (deterministic).
 
-    Raises OrderLimitError for a feasible shape over a group of order above
-    MAX_ORDER."""
+    Returns the empty-X twin the plan was made for (None for every other
+    shape), the plan, and the verified labeling of the shape.  Raises
+    InfeasibleShapeError, and OrderLimitError for a feasible shape over a
+    group of order above MAX_ORDER."""
     verdict = feasibility(params, shape)
     if not verdict.feasible:
         raise InfeasibleShapeError(verdict)
@@ -586,16 +593,20 @@ def construct(params: GroupParams, shape: Shape) -> Labeling:
             f"Z_{params.p}^{params.k} has order {params.order}; construct "
             f"handles groups of order at most {MAX_ORDER}"
         )
+    twin = empty_x_twin(params, shape)
     if params.p in (2, 3):
-        lab = small_p_patterns(params, shape)
+        plan = small_p_patterns(params, shape)
     else:
-        twin = empty_x_twin(params, shape)
-        if twin is not None:
-            twin_lab = _assemble_plan(params, twin, plan_components(params, twin))
-            lab = _from_twin(params, shape, twin_lab)
-        else:
-            lab = _assemble_plan(params, shape, plan_components(params, shape))
+        plan = plan_components(params, twin or shape)
+    lab = _realize(params, twin or shape, plan)
+    if twin is not None:
+        lab = _from_twin(params, shape, lab)
     report = labeling.verify(params, shape, lab)
     if not report.valid:
         raise ConstructionError(f"internal: construction failed verification: {report}")
-    return lab
+    return twin, plan, lab
+
+
+def construct(params: GroupParams, shape: Shape) -> Labeling:
+    """Produce a verified labeling for any feasible shape: build's labeling."""
+    return build(params, shape)[2]

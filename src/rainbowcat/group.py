@@ -119,10 +119,6 @@ def scale(params: GroupParams, c: int, a: int) -> int:
     return out
 
 
-def neg(params: GroupParams, a: int) -> int:
-    return scale(params, -1, a)
-
-
 def span(params: GroupParams, gens: Iterable[int]) -> List[int]:
     """Subgroup generated by ``gens``, sorted.  Each generator g outside the
     current subgroup H gives H + mg for m in [0, p)."""

@@ -14,7 +14,8 @@ canonical family, and search decides each model in order:
   H = span(a, b), so the model is realizable exactly when the spine coset H
   realizes some count triple s and h - s is a sum of triples realizable on
   the regular cosets.  When H is a proper subgroup the constructor's per-coset
-  menus and decomposition (constructor._construct_by_blocks) decide it.
+  menus and decomposition (constructor._block_plan) decide it, and only the
+  plan of the model that succeeds is realized.
 * Whole group.  When H is the whole group, _search_model backtracks.  Its
   state is one bitset of unassigned cells and, per role, a bitset of the
   cells where that role would reuse a consumed label; giving a cell a role
@@ -220,7 +221,8 @@ def search(
                 return OracleVerdict(BUDGETED, None, state.nodes, tried, _ms(start))
             lab = None if part is None else labeling.partition_to_labeling(params, shape, part)
         else:
-            lab = constructor._construct_by_blocks(params, shape, a, b)
+            plan = constructor._block_plan(params, shape, a, b)
+            lab = None if plan is None else constructor._realize(params, shape, plan)
         if lab is not None:
             return OracleVerdict(FOUND, lab, state.nodes, tried, _ms(start))
     return OracleVerdict(INFEASIBLE, None, state.nodes, tried, _ms(start))

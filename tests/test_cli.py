@@ -105,6 +105,34 @@ class TestLabel:
         assert [m["triple"] for m in plan["mixed"]] == [[1, 2, 2], [1, 2, 2]]
         assert plan["uniform"] == {"x": 0, "y": 0, "z": 2}
 
+    @pytest.mark.parametrize(
+        "p, k, hairs, model",
+        [
+            (3, 2, "1,3,2", [[1, 0], [0, 1]]),
+            (2, 4, "2,3,8", [[1, 0, 0, 0], [0, 1, 0, 0]]),
+        ],
+    )
+    def test_verbose_plan_at_small_p(self, capsys, p, k, hairs, model):
+        # the block menus of the model (e1, e2) build these labelings
+        code, _, err = run(capsys, "label", "--p", str(p), "--k", str(k), "--hairs", hairs, "--verbose")
+        assert code == 0
+        plan = json.loads(err)
+        assert plan["model"] == model
+        pattern = plan["spine"]["pattern"]
+        assert len(pattern) == p * p
+        assert {"s1", "s2", "s3"} <= set(pattern)
+
+    def test_out_of_memory_exit_2(self, capsys, monkeypatch):
+        def exhaust(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(constructor, "build", exhaust)
+        code, out, err = run(capsys, "label", "--p", "2", "--k", "4", "--hairs", "2,3,8", "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_order_above_limit_exit_2(self, capsys, no_group_listing):
         # Z_2^40 has order 2**40; construct refuses it before listing anything
         code, out, err = run(capsys, "label", "--p", "2", "--k", "40", "--hairs", "0,1,1099511627772")

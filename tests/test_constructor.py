@@ -20,7 +20,7 @@ from rainbowcat.errors import (
     UnsupportedInstanceError,
 )
 from rainbowcat.group import GroupParams
-from rainbowcat.labeling import S1, S2, S3, X, Y, Z
+from rainbowcat.labeling import S1, S2, S3, SPINE_ROLES, X, Y, Z
 from testkit import TupleGroup, check_forbidden, decompose_bfs, model_param, tuple_keys, zero
 
 
@@ -213,7 +213,7 @@ class TestPlanning:
     def test_debug_dump_shape(self):
         params = GroupParams(5, 2)
         d = constructor.plan_components(params, shp(5, 2, (9, 4, 9))).to_debug_dict(params)
-        assert set(d) == {"model", "generator", "reflected", "spine", "mixed", "uniform"}
+        assert set(d) == {"model", "reflected", "spine", "mixed", "uniform"}
 
 
 def _plan_totals(params, plan):
@@ -351,6 +351,24 @@ class TestConstruct:
         lab = constructor.construct(params, shape)
         assert labeling.verify(params, shape, lab).valid
 
+    @pytest.mark.parametrize("p,k", [(2, 4), (3, 2), (5, 2), (7, 2)])
+    def test_build_reports_the_plan_it_placed(self, p, k):
+        # every feasible shape; at Z_7^2 the residue corners only
+        params = GroupParams(p, k)
+        for shape in oracle.all_shapes(params):
+            if not constructor.feasibility(params, shape).feasible:
+                continue
+            if p == 7 and not _is_corner(params, shape):
+                continue
+            twin, plan, lab = constructor.build(params, shape)
+            assert lab == constructor.construct(params, shape), shape.h
+            assert sorted(r for r in plan.spine_pattern if r in SPINE_ROLES) == [S1, S2, S3]
+            # the plan's role counts are the shape it was made for: the
+            # empty-X twin, or the mirror when reflected
+            h = (twin or shape).h
+            counts = tuple(sum(pat.count(role) for pat in plan.patterns) for role in (X, Y, Z))
+            assert counts == (h[::-1] if plan.reflected else h), shape.h
+
 
 def _brute_force_menu(params, a, b, spine):
     """Lex-first clean assignment per role-count triple, by trying every role
@@ -388,9 +406,19 @@ class TestBlockMenus:
     @pytest.mark.parametrize("params,a,b", list(_menu_models()))
     @pytest.mark.parametrize("spine", [True, False], ids=["spine", "regular"])
     def test_menu_matches_brute_force(self, params, a, b, spine):
-        cells = tuple(group.span(params, [a, b]))
-        menu = constructor._component_patterns(params, a, b, cells, spine)
-        tuple_menu = {t: tuple_keys(params, m) for t, m in menu.items()}
+        # each pattern lists the roles of H = span(a, b) in order, markers
+        # at a, 0, b on the spine coset; as a role map over the free cells
+        # it is the brute force's representative
+        cells = group.span(params, [a, b])
+        menu = constructor._component_patterns(params, a, b, spine)
+        assert list(menu) == sorted(menu)
+        markers = {a: S1, 0: S2, b: S3} if spine else {}
+        for pattern in menu.values():
+            assert {v: r for v, r in zip(cells, pattern) if r in SPINE_ROLES} == markers
+        tuple_menu = {
+            t: tuple_keys(params, {v: r for v, r in zip(cells, pattern) if v not in markers})
+            for t, pattern in menu.items()
+        }
         assert tuple_menu == _brute_force_menu(params, a, b, spine)
 
 
@@ -417,7 +445,7 @@ class TestDecompose:
     )
     def test_matches_brute_force(self, params, a, b):
         comps = group.cosets(params, [a, b])
-        menu = constructor._component_patterns(params, a, b, tuple(comps[0]), False)
+        menu = constructor._component_patterns(params, a, b, False)
         blocks, n = len(comps) - 1, len(comps[0])
         reachable = {
             tuple(map(sum, zip((0, 0, 0), *combo)))
@@ -438,7 +466,7 @@ class TestDecompose:
         """The table lookup returns the very list, or None, that the
         breadth-first search bounded by the target returns."""
         comps = group.cosets(params, [a, b])
-        menu = constructor._component_patterns(params, a, b, tuple(comps[0]), False)
+        menu = constructor._component_patterns(params, a, b, False)
         blocks, n = len(comps) - 1, len(comps[0])
         for target in _targets(blocks * n):
             assert constructor._decompose(target, tuple(menu)) == decompose_bfs(

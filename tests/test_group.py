@@ -16,7 +16,7 @@ from hypothesis import given, strategies as st
 from rainbowcat import constructor, group, labeling
 from rainbowcat.errors import InvalidElementError
 from rainbowcat.group import GroupParams
-from testkit import TupleGroup, apply_matrix, elements, index, matrix_is_invertible, payload, sub, zero
+from testkit import TupleGroup, apply_matrix, elements, index, matrix_is_invertible, neg, payload, sub, zero
 
 PARAMS = [GroupParams(2, 2), GroupParams(2, 3), GroupParams(3, 2), GroupParams(5, 1)]
 
@@ -159,7 +159,7 @@ class TestIndexArithmetic:
     def test_neg_and_scale_match_coordinates(self, prm):
         p, elems = prm.p, elements(prm)
         for i, a in enumerate(elems):
-            assert elems[group.neg(prm, i)] == tuple(-x % p for x in a)
+            assert elems[neg(prm, i)] == tuple(-x % p for x in a)
             for c in range(-p, 2 * p):
                 assert elems[group.scale(prm, c, i)] == tuple(c * x % p for x in a)
 

@@ -36,8 +36,12 @@ def index(params: GroupParams, e: Sequence[int]) -> int:
     return i
 
 
+def neg(params: GroupParams, a: int) -> int:
+    return group.scale(params, -1, a)
+
+
 def sub(params: GroupParams, a: int, b: int) -> int:
-    return group.add(params, a, group.neg(params, b))
+    return group.add(params, a, neg(params, b))
 
 
 class TupleGroup:
@@ -65,7 +69,7 @@ class TupleGroup:
         return self.params.element(sub(self.params, self.ix(a), self.ix(b)))
 
     def neg(self, a: Element) -> Element:
-        return self.params.element(group.neg(self.params, self.ix(a)))
+        return self.params.element(neg(self.params, self.ix(a)))
 
     def scale(self, c: int, a: Element) -> Element:
         return self.params.element(group.scale(self.params, c, self.ix(a)))
