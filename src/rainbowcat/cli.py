@@ -16,18 +16,22 @@ Exit codes are the machine contract:
   written (a broken pipe), with no traceback, and 2 when memory runs out
 
 Data goes to stdout, diagnostics to stderr.
+
+Each command imports what it runs, so a cold call compiles only that: verify
+loads group and labeling, label and feasible add constructor, oracle and
+table add oracle (with constructor); json loads for verify, table and
+label --verbose only.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 from typing import List, Optional, Tuple
 
-from . import constructor, group, labeling, oracle
+from . import group, labeling
 from .errors import RainbowError
 from .group import GroupParams
 from .labeling import HAIR_ROLES, Labeling, Shape
@@ -79,6 +83,8 @@ def _dot(params: GroupParams, lab: Labeling) -> str:
 
 
 def cmd_label(args) -> int:
+    from . import constructor
+
     params, shape = _parse_instance(args.p, args.k, args.hairs)
     try:
         twin, plan, lab = constructor.build(params, shape)
@@ -88,6 +94,8 @@ def cmd_label(args) -> int:
             print(exc.verdict.detail, file=sys.stderr)
         return 1
     if args.verbose:
+        import json
+
         if twin:
             print(f"empty-X corner; built as the isomorphic tree C{twin.h}", file=sys.stderr)
         print(json.dumps(plan.to_debug_dict(params)), file=sys.stderr)
@@ -101,6 +109,8 @@ def cmd_label(args) -> int:
 
 
 def cmd_feasible(args) -> int:
+    from . import constructor
+
     params, shape = _parse_instance(args.p, args.k, args.hairs)
     verdict = constructor.feasibility(params, shape)
     if verdict.feasible:
@@ -113,6 +123,8 @@ def cmd_feasible(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from . import oracle
+
     params, shape = _parse_instance(args.p, args.k, args.hairs)
     budget = oracle.SearchBudget(timeout_ms=args.timeout_ms, node_limit=args.node_limit)
     verdict = oracle.search(params, shape, budget)
@@ -125,6 +137,8 @@ def cmd_oracle(args) -> int:
 
 
 def _table_row(task) -> dict:
+    from . import oracle
+
     p, k, h, timeout_ms, cross_check = task
     params = GroupParams(p, k)
     shape = labeling.make_shape(params, h)
@@ -133,6 +147,10 @@ def _table_row(task) -> dict:
 
 
 def cmd_table(args) -> int:
+    import json
+
+    from . import oracle
+
     try:
         params = GroupParams(args.p, args.k)
     except ValueError as exc:
@@ -163,6 +181,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    import json
+
     try:
         if args.input == "-":
             payload = sys.stdin.read()

@@ -33,8 +33,7 @@ elements as integer indices (see group).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import group, labeling
 from .errors import (
@@ -58,8 +57,7 @@ P2_PARITY = "P2_parity"
 MAX_ORDER = 2**20
 
 
-@dataclass(frozen=True)
-class FeasibilityVerdict:
+class FeasibilityVerdict(NamedTuple):
     feasible: bool
     exception: Optional[str] = None
     detail: str = ""
@@ -199,8 +197,7 @@ def pattern_counts(pat: Sequence[str]) -> Tuple[int, int, int]:
     return (pat.count(X), pat.count(Y), pat.count(Z))
 
 
-@dataclass(frozen=True)
-class ComponentPlan:
+class ComponentPlan(NamedTuple):
     """Blueprint of a labeling: the spine model [a,0,b] and a role pattern per
     coset of span(a, b).
 
@@ -562,12 +559,10 @@ def canonical_models(params: GroupParams) -> List[Tuple[int, int]]:
 
 def small_p_patterns(params: GroupParams, shape: Shape) -> ComponentPlan:
     """The plan for p in {2,3}: that of the first canonical spine model whose
-    block menus decide the shape."""
+    block menus decide the shape.  The shape must be feasible (build checks
+    it); on an infeasible one no model decides and ConstructionError says so."""
     if params.p not in (2, 3):
         raise UnsupportedInstanceError("small_p_patterns handles p in {2,3} only")
-    verdict = feasibility(params, shape)
-    if not verdict.feasible:
-        raise InfeasibleShapeError(verdict)
     for a, b in canonical_models(params):
         plan = _block_plan(params, shape, a, b)
         if plan is not None:

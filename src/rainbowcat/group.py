@@ -13,8 +13,7 @@ verify's vertex names, the Labeling's tuple views).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
 from .errors import InvalidElementError
 
@@ -49,23 +48,29 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class GroupParams:
-    """The group Z_p^k."""
+class _Group(NamedTuple):
+    """The fields of GroupParams, which validates them in __new__."""
 
     p: int
     k: int
 
-    def __post_init__(self):
-        if type(self.p) is not int or type(self.k) is not int:
-            raise ValueError(f"p and k must be integers, got {self.p!r}, {self.k!r}")
-        if self.k < 1:
-            raise ValueError(f"k must be positive, got {self.k}")
+
+class GroupParams(_Group):
+    """The group Z_p^k."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: int, k: int):
+        if type(p) is not int or type(k) is not int:
+            raise ValueError(f"p and k must be integers, got {p!r}, {k!r}")
+        if k < 1:
+            raise ValueError(f"k must be positive, got {k}")
         # size before primality; k >= 64 alone rules out p**k < 2**64
-        if self.k >= 64 or self.p ** self.k >= 2 ** 64:
-            raise ValueError(f"group order {self.p}^{self.k} does not fit in 64 bits")
-        if not _is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
+        if k >= 64 or p ** k >= 2 ** 64:
+            raise ValueError(f"group order {p}^{k} does not fit in 64 bits")
+        if not _is_prime(p):
+            raise ValueError(f"p must be prime, got {p}")
+        return super().__new__(cls, p, k)
 
     @property
     def order(self) -> int:

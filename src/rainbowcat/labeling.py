@@ -17,8 +17,7 @@ them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import group
 from .errors import (
@@ -37,8 +36,7 @@ HAIR_ROLES = (X, Y, Z)
 SPINE_ROLES = (S1, S2, S3)
 
 
-@dataclass(frozen=True)
-class Shape:
+class Shape(NamedTuple):
     """Hair counts (h1, h2, h3) of the caterpillar."""
 
     h: Tuple[int, int, int]
@@ -57,8 +55,7 @@ def make_shape(params: GroupParams, h: Sequence[int]) -> Shape:
     return Shape(h)
 
 
-@dataclass(frozen=True)
-class ResidueTriple:
+class ResidueTriple(NamedTuple):
     alpha: int
     beta: int
     gamma: int
@@ -79,8 +76,7 @@ def _check_shape(params: GroupParams, shape: Shape) -> None:
         raise InvalidShapeError(f"shape {shape.h} invalid for Z_{params.p}^{params.k}")
 
 
-@dataclass(frozen=True)
-class Labeling:
+class Labeling(NamedTuple):
     """Tree-side picture: spine labels (a1,a2,a3) plus sorted hair label
     sets, as element indices of the group of ``params``.
 
@@ -136,8 +132,7 @@ def partition_to_labeling(params: GroupParams, shape: Shape, part: Partition) ->
     return make_labeling(params, [c[0] for c in spine], *hairs)
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     """verify's verdict; edges and the missing edge label are element indices."""
 
     valid: bool

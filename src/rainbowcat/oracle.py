@@ -35,8 +35,7 @@ reports, hold elements as integer indices (see group).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import constructor, labeling
 from .errors import OrderLimitError
@@ -44,8 +43,7 @@ from .group import GroupParams
 from .labeling import Labeling, Shape
 
 
-@dataclass(frozen=True)
-class SearchBudget:
+class SearchBudget(NamedTuple):
     """Limits on the whole-group backtracking of one search call: its nodes
     and its wall time.  Models decided by pruning or per coset are not
     budgeted."""
@@ -63,12 +61,11 @@ INFEASIBLE = "infeasible"
 BUDGETED = "budgeted"
 
 
-@dataclass
-class OracleVerdict:
+class OracleVerdict(NamedTuple):
     outcome: str
     labeling: Optional[Labeling] = None
     nodes: int = 0
-    models_tried: List[Tuple[int, int]] = field(default_factory=list)
+    models_tried: Tuple[Tuple[int, int], ...] = ()
     elapsed_ms: float = 0.0
 
 
@@ -218,14 +215,14 @@ def search(
         if _spans_group(params, a, b):
             part = _search_model(params, shape, a, b, state)
             if state.exhausted:
-                return OracleVerdict(BUDGETED, None, state.nodes, tried, _ms(start))
+                return OracleVerdict(BUDGETED, None, state.nodes, tuple(tried), _ms(start))
             lab = None if part is None else labeling.partition_to_labeling(params, shape, part)
         else:
             plan = constructor._block_plan(params, shape, a, b)
             lab = None if plan is None else constructor._realize(params, shape, plan)
         if lab is not None:
-            return OracleVerdict(FOUND, lab, state.nodes, tried, _ms(start))
-    return OracleVerdict(INFEASIBLE, None, state.nodes, tried, _ms(start))
+            return OracleVerdict(FOUND, lab, state.nodes, tuple(tried), _ms(start))
+    return OracleVerdict(INFEASIBLE, None, state.nodes, tuple(tried), _ms(start))
 
 
 def all_shapes(params: GroupParams) -> List[Shape]:

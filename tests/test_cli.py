@@ -189,6 +189,52 @@ def test_closed_stdout_exits_2(argv):
     assert proc.stderr == ""
 
 
+# Runs the command given as arguments (none: import only) in a fresh
+# interpreter and prints its exit code and which watched modules it loaded.
+_COLD_PROBE = """
+import contextlib, io, sys
+from rainbowcat import cli
+code = None
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(sys.argv[1:])
+watched = ("dataclasses", "rainbowcat.constructor", "rainbowcat.oracle")
+print(code, *[m for m in watched if m in sys.modules])
+"""
+
+
+def _cold(argv, stdin=""):
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_PROBE, *argv], input=stdin, capture_output=True,
+        text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.stderr == ""
+    code, *loaded = proc.stdout.split()
+    return code, set(loaded)
+
+
+class TestColdImports:
+    """A fresh process loads only the modules its command runs."""
+
+    def test_import_loads_no_builder(self):
+        assert _cold([]) == ("None", set())
+
+    def test_verify_loads_no_builder(self):
+        params = GroupParams(5, 2)
+        shape = labeling.make_shape(params, (3, 5, 14))
+        payload = labeling.labeling_to_json(params, shape, constructor.construct(params, shape))
+        assert _cold(["verify"], payload) == ("0", set())
+
+    @pytest.mark.parametrize("command", ["label", "feasible"])
+    def test_label_and_feasible_load_constructor_only(self, command):
+        argv = [command, "--p", "5", "--k", "2", "--hairs", "3,5,14"]
+        assert _cold(argv) == ("0", {"rainbowcat.constructor"})
+
+    def test_oracle_loads_oracle(self):
+        argv = ["oracle", "--p", "5", "--k", "2", "--hairs", "3,5,14"]
+        assert _cold(argv) == ("0", {"rainbowcat.constructor", "rainbowcat.oracle"})
+
+
 class TestFeasible:
     def test_feasible(self, capsys):
         code, out, _ = run(capsys, "feasible", "--p", "2", "--k", "3", "--hairs", "2,1,2")

@@ -71,6 +71,16 @@ class TestGroupParams:
             n for n in range(10 ** 4) if trial(n)
         ]
 
+    def test_value_semantics(self):
+        prm = GroupParams(5, 2)
+        with pytest.raises(AttributeError):
+            prm.p = 7
+        with pytest.raises(AttributeError):
+            prm.order_cache = 25
+        assert prm == GroupParams(5, 2) and hash(prm) == hash(GroupParams(5, 2))
+        assert prm != GroupParams(5, 3)
+        assert repr(prm) == "GroupParams(p=5, k=2)"
+
     def test_order_zero(self):
         prm = GroupParams(3, 2)
         assert prm.order == 9

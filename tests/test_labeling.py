@@ -61,6 +61,23 @@ class TestShape:
             assert sum(r.as_tuple()) % params.p == (params.p - 3) % params.p
 
 
+@pytest.mark.parametrize(
+    "value, field",
+    [
+        (labeling.Shape((1, 3, 2)), "h"),
+        (VALID[0][2], "x_ix"),
+        (VALID[0][2], "spine"),
+        (constructor.plan_components(GroupParams(5, 2), labeling.Shape((3, 5, 14))), "patterns"),
+    ],
+    ids=["Shape.h", "Labeling.x_ix", "Labeling.spine", "ComponentPlan.patterns"],
+)
+def test_values_are_immutable(value, field):
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(value, field))
+    with pytest.raises(AttributeError):
+        value.extra = None
+
+
 class TestPartitionCorrespondence:
     def test_p2_example(self):
         params = GroupParams(2, 2)

@@ -82,6 +82,24 @@ class TestSearch:
             assert budget.exhausted and budget.nodes == limit
             assert descents == list(range(1, limit + 1))
 
+    def test_models_tried(self):
+        params = GroupParams(3, 2)
+        models = tuple(constructor.canonical_models(params))
+        # (1,3,2) is realized by the last model, (0,1,5) by none
+        for h in ((1, 3, 2), (0, 1, 5)):
+            v = oracle.search(params, labeling.make_shape(params, h))
+            assert v.models_tried == models
+        v = oracle.search(params, labeling.make_shape(params, (1, 3, 2)), models=models[::-1])
+        assert v.outcome == oracle.FOUND and v.models_tried == (models[-1],)
+
+    def test_verdict_is_immutable(self):
+        params = GroupParams(3, 2)
+        v = oracle.search(params, labeling.make_shape(params, (1, 3, 2)))
+        for field in oracle.OracleVerdict._fields:
+            with pytest.raises(AttributeError):
+                setattr(v, field, getattr(v, field))
+        assert oracle.OracleVerdict(oracle.INFEASIBLE).models_tried == ()
+
     def test_infeasible_stable_under_model_order(self):
         params = GroupParams(3, 2)
         shape = labeling.make_shape(params, (0, 1, 5))
