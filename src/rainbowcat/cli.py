@@ -76,7 +76,7 @@ def _dot(params: GroupParams, lab: Labeling) -> str:
     lines += [f'  n{v} [label="{names[v]}" role="{role}"];' for v, role in nodes]
     lines += [
         f'  n{u} -- n{v} [label="{names[s]}"];'
-        for (u, v), s in zip(labeling._edges(params, lab), labeling.edge_labels(params, lab))
+        for (u, v), s in zip(labeling._edges(lab), labeling.edge_labels(params, lab))
     ]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -4,9 +4,9 @@ Feasibility is a closed-form residue test (three exception families for
 p >= 5, two for p = 3, a parity rule for p = 2).  Construction picks one
 plan, a ComponentPlan: a spine model [a,0,b] and a role pattern per coset of
 H = span(a, b), in group.cosets order, the spine coset first with its
-markers s1, s2, s3.  build picks the plan once, realizes it once (_realize,
-each pattern zipped with its coset) and verifies it once; nothing in it
-searches over labelings.  The plans come from:
+markers s1, s2, s3.  build picks the plan once, realizes it once (_realize:
+uniform blocks whole, mixed patterns cell by cell) and verifies it once;
+nothing in it searches over labelings.  The plans come from:
 
 * residue sum p-3: one spine-component pattern in a general model [a,0,b];
 * residue sum 2p-3: spine pattern plus one or two mixed regular cycles,
@@ -72,8 +72,7 @@ def feasibility(params: GroupParams, shape: Shape) -> FeasibilityVerdict:
         )
     p = params.p
     h1, h2, h3 = shape.h
-    res = labeling.residues(params, shape)
-    a, b, g = res.alpha, res.beta, res.gamma
+    a, b, g = labeling.residues(params, shape)
 
     if p == 2:
         if h1 % 2 == 0 and h3 % 2 == 0 and h2 % 2 == 1:
@@ -239,10 +238,8 @@ class ComponentPlan(NamedTuple):
             "model": [list(params.element(e)) for e in self.model],
             "reflected": self.reflected,
             "spine": {"pattern": list(self.spine_pattern), "triple": list(self.spine_triple)},
-            "mixed": [
-                {"pattern": list(p), "triple": list(t)}
-                for p, t in zip(self.mixed, self.mixed_triples)
-            ],
+            "mixed": [{"pattern": list(p), "triple": list(t)}
+                      for p, t in zip(self.mixed, self.mixed_triples)],
             "uniform": self.uniform,
         }
 
@@ -254,10 +251,7 @@ def _finish_plan(params, h, a_prime, b_prime, spine, mixed, reflected) -> Compon
     pattern is m*e1 on its coset."""
     p = params.p
     patterns = [spine, *mixed]
-    totals = [0, 0, 0]
-    for pat in patterns:
-        for t, c in zip(range(3), pattern_counts(pat)):
-            totals[t] += c
+    totals = [sum(c) for c in zip(*map(pattern_counts, patterns))]
     for role, total, want in zip(HAIR_ROLES, totals, h):
         rem = want - total
         if rem < 0 or rem % p:
@@ -278,8 +272,7 @@ def plan_components(params: GroupParams, shape: Shape) -> ComponentPlan:
     """
     p = params.p
     h = shape.h
-    res = labeling.residues(params, shape)
-    a, b, g = res.as_tuple()
+    a, b, g = labeling.residues(params, shape)
     total = a + b + g
 
     if total == p - 3:
@@ -377,13 +370,19 @@ def _plan_general(params, h, a, b, g) -> ComponentPlan:
 
 
 def _realize(params: GroupParams, shape: Shape, plan: ComponentPlan) -> Labeling:
-    """The labeling of the shape that the plan places: each pattern zipped
-    with its coset of span(plan.model) into the role classes, reflected back
-    when the plan was made for the mirror shape."""
+    """The labeling of the shape that the plan places, reflected back when
+    the plan was made for the mirror shape.  A uniform block, one role on
+    its whole coset of span(plan.model), joins that role's class in one
+    step; only a mixed pattern is zipped with its coset cell by cell."""
     part: labeling.Partition = {role: [] for role in SPINE_ROLES + HAIR_ROLES}
+    uniform = {(role,) * len(plan.spine_pattern): part[role] for role in HAIR_ROLES}
     for pattern, comp in zip(plan.patterns, group.cosets(params, plan.model)):
-        for role, v in zip(pattern, comp):
-            part[role].append(v)
+        cls = uniform.get(pattern)
+        if cls is not None:
+            cls.extend(comp)
+        else:
+            for role, v in zip(pattern, comp):
+                part[role].append(v)
     if not plan.reflected:
         return labeling.partition_to_labeling(params, shape, part)
     mirror = labeling.make_shape(params, shape.h[::-1])
@@ -401,7 +400,7 @@ def empty_x_twin(params: GroupParams, shape: Shape) -> Optional[Shape]:
     """
     p = params.p
     h1, h2, h3 = shape.h
-    res = labeling.residues(params, shape).as_tuple()
+    res = labeling.residues(params, shape)
     if p >= 5 and h1 == 0 and res == (0, p - 1, p - 2):
         return labeling.make_shape(params, (h2 + 1, h3 - 1, 0))
     if p >= 5 and h3 == 0 and res == (p - 2, p - 1, 0):

@@ -3,11 +3,12 @@
 Inside the package an element is an integer index in [0, p^k): its base-p
 digits are the coordinates, most significant first, so index order is
 lexicographic order.  Addition is XOR at p = 2 and digit-wise mod p
-otherwise.  Coordinates are the boundary form, and they appear only where
-elements come in or go out: element_from_json validates and converts one
-JSON element, format_elements writes the coordinates of many indices as
-text, and GroupParams.element gives the tuple of one index (plan dumps,
-verify's vertex names, the Labeling's tuple views).
+otherwise; coset r of the top coordinates' subspace of index q is the
+stride range(r, p^k, q).  Coordinates are the boundary form, and they appear
+only where elements come in or go out: element_from_json validates and
+converts one JSON element, format_elements writes the coordinates of many
+indices as text, and GroupParams.element gives the tuple of one index (plan
+dumps, verify's vertex names, the Labeling's tuple views).
 """
 
 from __future__ import annotations
@@ -125,39 +126,42 @@ def scale(params: GroupParams, c: int, a: int) -> int:
 
 
 def span(params: GroupParams, gens: Iterable[int]) -> List[int]:
-    """Subgroup generated by ``gens``, sorted.  Each generator g outside the
-    current subgroup H gives H + mg for m in [0, p)."""
-    subgroup = [0]
+    """Subgroup generated by ``gens``, sorted.  A generator g outside the
+    current subgroup H gives H + mg for m in [0, p); digit i of mg is
+    m * g_i mod p, so the multiples take one pass per nonzero digit of g."""
+    p, subgroup = params.p, [0]
     for g in gens:
         if g not in subgroup:
-            subgroup = [
-                v for m in range(params.p)
-                for v in translate(params, scale(params, m, g), subgroup)
-            ]
+            multiples, w = [0] * p, 1
+            while g:
+                g, d = divmod(g, p)
+                if d:
+                    multiples = [s + m * d % p * w for m, s in enumerate(multiples)]
+                w *= p
+            if subgroup != [0]:
+                multiples = [v for mg in multiples for v in translate(params, mg, subgroup)]
+            subgroup = multiples
     return sorted(subgroup)
 
 
-def cosets(params: GroupParams, gens: Sequence[int]) -> List[List[int]]:
+def cosets(params: GroupParams, gens: Sequence[int]) -> List[Sequence[int]]:
     """Partition of the group into cosets of H = span(gens).
 
     H comes first, in order.  Every other coset C follows in order of
     min(C) and is listed as min(C) + h for h in H, so position i of every
-    coset corresponds to H[i].
+    coset corresponds to H[i].  If the gens lie in the subspace of the top
+    coordinates, as every canonical and recipe model does, H is that
+    subspace and coset r is the stride range(r, n, q), n = p^k, q = n / |H|.
     """
-    subgroup = span(params, gens)
-    q = params.order // len(subgroup)
-    if subgroup == list(range(0, params.order, q)):
-        # H is the subspace of the top coordinates, as for every canonical
-        # model: the coset minima are 0..q-1 and min(C) + h never carries
-        return [[r + h for h in subgroup] for r in range(q)]
-    seen = bytearray(params.order)
-    out = []
-    for rep in range(params.order):
-        if not seen[rep]:
-            coset = translate(params, rep, subgroup)
-            for v in coset:
-                seen[v] = 1
-            out.append(coset)
+    n, subgroup = params.order, span(params, gens)
+    q = n // len(subgroup)
+    if all(g % q == 0 for g in gens):
+        return [range(r, n, q) for r in range(q)]
+    seen, out = set(), []
+    for rep in range(n):
+        if rep not in seen:
+            out.append(translate(params, rep, subgroup))
+            seen.update(out[-1])
     return out
 
 

@@ -60,9 +60,6 @@ class ResidueTriple(NamedTuple):
     beta: int
     gamma: int
 
-    def as_tuple(self) -> Tuple[int, int, int]:
-        return (self.alpha, self.beta, self.gamma)
-
 
 def residues(params: GroupParams, shape: Shape) -> ResidueTriple:
     """Hair counts reduced mod p; their sum is p-3 mod p by construction."""
@@ -141,7 +138,7 @@ class VerifyReport(NamedTuple):
     missing_edge_label: Optional[int] = None
 
 
-def _edges(params: GroupParams, lab: Labeling):
+def _edges(lab: Labeling):
     """Caterpillar edges as (endpoint label, endpoint label) pairs, canonical order."""
     a1, a2, a3 = lab.spine_ix
     yield (a1, a2)
@@ -210,7 +207,7 @@ def verify(params: GroupParams, shape: Shape, lab: Labeling) -> VerifyReport:
     sums = edge_labels(params, lab)
     dup_edge = _first_repeat(sums)
     if dup_edge is not None:
-        edges = list(_edges(params, lab))
+        edges = list(_edges(lab))
         dup_edge = tuple(edges[i] for i in dup_edge)
 
     valid = dup_vertex is None and dup_edge is None

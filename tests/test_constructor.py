@@ -230,7 +230,7 @@ def _is_corner(params, shape):
     """Empty-X corners and beta_neg corners (residues (p-3,1,p-1),
     (p-2,0,p-1) and mirrors): the shapes no parity or skew case covers."""
     p = params.p
-    res = labeling.residues(params, shape).as_tuple()
+    res = labeling.residues(params, shape)
     beta_neg = {(p - 3, 1, p - 1), (p - 2, 0, p - 1)}
     return (
         constructor.empty_x_twin(params, shape) is not None

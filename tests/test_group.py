@@ -11,12 +11,15 @@ import re
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from rainbowcat import constructor, group, labeling
 from rainbowcat.errors import InvalidElementError
 from rainbowcat.group import GroupParams
-from testkit import TupleGroup, apply_matrix, elements, index, matrix_is_invertible, neg, payload, sub, zero
+from testkit import (
+    TupleGroup, apply_matrix, elements, index, matrix_is_invertible, neg, payload,
+    reference_cosets, span_closure, sub, zero,
+)
 
 PARAMS = [GroupParams(2, 2), GroupParams(2, 3), GroupParams(3, 2), GroupParams(5, 1)]
 
@@ -227,7 +230,8 @@ def _coset_cases():
 
 @pytest.mark.parametrize("prm, gens", _coset_cases())
 def test_cosets_layout_on_indices(prm, gens):
-    comps = group.cosets(prm, gens)
+    # a coset may be a range (the strided layout), so compare it as a list
+    comps = [list(c) for c in group.cosets(prm, gens)]
     assert comps[0] == group.span(prm, gens)
     mins = [min(c) for c in comps]
     assert mins[0] == 0 and mins == sorted(mins)
@@ -236,7 +240,32 @@ def test_cosets_layout_on_indices(prm, gens):
     assert sorted(v for comp in comps for v in comp) == list(range(prm.order))
 
 
+@st.composite
+def group_and_gens(draw):
+    """Z_p^k with p in {2, 3, 5, 7} and k <= 3, and one to three generators
+    as coordinate tuples, most with several nonzero digits."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    k = draw(st.integers(1, 3))
+    digits = st.tuples(*[st.integers(0, p - 1)] * k)
+    return GroupParams(p, k), draw(st.lists(digits, min_size=1, max_size=3))
+
+
 class TestSpan:
+    @given(group_and_gens())
+    @example((GroupParams(7, 3), [(3, 5, 6), (1, 2, 4)]))
+    @example((GroupParams(5, 3), [(2, 3, 4), (4, 1, 3), (1, 2, 2)]))
+    @example((GroupParams(3, 3), [(1, 2, 2), (2, 1, 1)]))
+    @example((GroupParams(2, 3), [(1, 1, 1), (0, 1, 1), (1, 0, 0)]))
+    def test_span_matches_closure(self, t):
+        prm, gens = t
+        assert group.span(prm, [index(prm, g) for g in gens]) == span_closure(prm, gens)
+
+    @given(group_and_gens())
+    def test_cosets_match_reference_layout(self, t):
+        prm, gens = t
+        ix = [index(prm, g) for g in gens]
+        assert [list(c) for c in group.cosets(prm, ix)] == reference_cosets(prm, ix)
+
     def test_span_examples(self):
         tg = TupleGroup(GroupParams(3, 2))
         assert tg.span([(0, 1)]) == [(0, 0), (0, 1), (0, 2)]

@@ -39,9 +39,9 @@ VALID = _feasible_labelings()
 
 class TestShape:
     def test_residue_examples(self):
-        assert labeling.residues(GroupParams(5, 2), labeling.Shape((0, 3, 19))).as_tuple() == (0, 3, 4)
-        assert labeling.residues(GroupParams(3, 2), labeling.Shape((1, 3, 2))).as_tuple() == (1, 0, 2)
-        assert labeling.residues(GroupParams(2, 3), labeling.Shape((2, 1, 2))).as_tuple() == (0, 1, 0)
+        assert labeling.residues(GroupParams(5, 2), labeling.Shape((0, 3, 19))) == (0, 3, 4)
+        assert labeling.residues(GroupParams(3, 2), labeling.Shape((1, 3, 2))) == (1, 0, 2)
+        assert labeling.residues(GroupParams(2, 3), labeling.Shape((2, 1, 2))) == (0, 1, 0)
 
     def test_make_shape_rejects_bad_sum(self):
         with pytest.raises(InvalidShapeError):
@@ -58,7 +58,7 @@ class TestShape:
     def test_residue_sum_identity(self):
         for params, shape, _ in VALID:
             r = labeling.residues(params, shape)
-            assert sum(r.as_tuple()) % params.p == (params.p - 3) % params.p
+            assert sum(r) % params.p == (params.p - 3) % params.p
 
 
 @pytest.mark.parametrize(

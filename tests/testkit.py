@@ -2,9 +2,10 @@
 conversions between them and the package's integer elements, a second,
 rule-by-rule statement of the rainbow constraint, labeling transforms under
 the group's symmetries, every translated spine model (the reference for the
-canonical reduction), the full predicate-vs-oracle table of a group, and
-the tuple-based label writers that the package's writers are checked
-against."""
+canonical reduction), the full predicate-vs-oracle table of a group, the
+subgroup closure, coset layout and cell-by-cell placement of a plan that
+span, cosets and _realize are checked against, and the tuple-based label
+writers that the package's writers are checked against."""
 
 import itertools
 import json
@@ -80,6 +81,59 @@ class TupleGroup:
     def cosets(self, gens: Sequence[Element]) -> List[List[Element]]:
         comps = group.cosets(self.params, [self.ix(g) for g in gens])
         return [[self.params.element(v) for v in comp] for comp in comps]
+
+
+def _add_tuples(params: GroupParams, a: Element, b: Element) -> Element:
+    return tuple((x + y) % params.p for x, y in zip(a, b))
+
+
+def span_closure(params: GroupParams, gens: Sequence[Element]) -> List[int]:
+    """The subgroup generated by tuple elements, sorted by index: the closure
+    of {0} under adding a generator, by coordinate-wise arithmetic mod p.
+    The reference that group.span is checked against."""
+    seen = {zero(params)}
+    frontier = list(seen)
+    while frontier:
+        grown = []
+        for e in frontier:
+            for g in gens:
+                f = _add_tuples(params, e, g)
+                if f not in seen:
+                    seen.add(f)
+                    grown.append(f)
+        frontier = grown
+    return sorted(index(params, e) for e in seen)
+
+
+def reference_cosets(params: GroupParams, gens: Sequence[int]) -> List[List[int]]:
+    """The coset layout group.cosets documents, in tuple arithmetic: H =
+    span(gens) first, then every other coset in order of its minimum r,
+    listed as r + h for h in H."""
+    subgroup = [params.element(h) for h in span_closure(params, [params.element(g) for g in gens])]
+    seen = set()
+    out = []
+    for rep in range(params.order):
+        if rep not in seen:
+            coset = [index(params, _add_tuples(params, params.element(rep), h)) for h in subgroup]
+            seen.update(coset)
+            out.append(coset)
+    return out
+
+
+def reference_realize(params: GroupParams, shape: Shape, plan) -> Labeling:
+    """A constructor.ComponentPlan placed cell by cell: every pattern zipped
+    with its coset of reference_cosets into the role classes, reflected back
+    when the plan was made for the mirror shape.  The reference that
+    constructor._realize, which places uniform blocks whole, is checked
+    against."""
+    part: labeling.Partition = {role: [] for role in SPINE_ROLES + HAIR_ROLES}
+    for pattern, comp in zip(plan.patterns, reference_cosets(params, plan.model)):
+        for role, v in zip(pattern, comp):
+            part[role].append(v)
+    if not plan.reflected:
+        return labeling.partition_to_labeling(params, shape, part)
+    mirror = labeling.make_shape(params, shape.h[::-1])
+    return labeling.reflect(params, labeling.partition_to_labeling(params, mirror, part))
 
 
 def payload(params: GroupParams, shape: Shape, spine, x=(), y=(), z=()) -> dict:
