@@ -5,8 +5,8 @@ p >= 5, two for p = 3, a parity rule for p = 2).  Construction picks one
 plan, a ComponentPlan: a spine model [a,0,b] and a role pattern per coset of
 H = span(a, b), in group.cosets order, the spine coset first with its
 markers s1, s2, s3.  build picks the plan once, realizes it once (_realize:
-uniform blocks whole, mixed patterns cell by cell) and verifies it once;
-nothing in it searches over labelings.  The plans come from:
+strided byte slices of a role map) and verifies it once; nothing in it
+searches over labelings.  The plans come from:
 
 * residue sum p-3: one spine-component pattern in a general model [a,0,b];
 * residue sum 2p-3: spine pattern plus one or two mixed regular cycles,
@@ -33,6 +33,7 @@ elements as integer indices (see group).
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import group, labeling
@@ -43,7 +44,7 @@ from .errors import (
     UnsupportedInstanceError,
 )
 from .group import GroupParams
-from .labeling import HAIR_ROLES, S1, S2, S3, SPINE_ROLES, X, Y, Z, Labeling, Shape
+from .labeling import HAIR_ROLES, S1, S2, S3, X, Y, Z, Labeling, Shape
 
 E1_BETA_PM2 = "E1_beta_pm2"
 E2_Y0 = "E2_Y0"
@@ -370,23 +371,28 @@ def _plan_general(params, h, a, b, g) -> ComponentPlan:
 
 
 def _realize(params: GroupParams, shape: Shape, plan: ComponentPlan) -> Labeling:
-    """The labeling of the shape that the plan places, reflected back when
-    the plan was made for the mirror shape.  A uniform block, one role on
-    its whole coset of span(plan.model), joins that role's class in one
-    step; only a mixed pattern is zipped with its coset cell by cell."""
-    part: labeling.Partition = {role: [] for role in SPINE_ROLES + HAIR_ROLES}
-    uniform = {(role,) * len(plan.spine_pattern): part[role] for role in HAIR_ROLES}
-    for pattern, comp in zip(plan.patterns, group.cosets(params, plan.model)):
-        cls = uniform.get(pattern)
-        if cls is not None:
-            cls.extend(comp)
-        else:
+    """The labeling of the shape that the plan places, written into a role
+    map (labeling.ROLES), with the mirror roles' codes when the plan was made
+    for the mirror shape.  On a model in the top coordinates coset r is the
+    slice roles[r::q]: the uniform cosets fill a q-byte period repeated |H|
+    times, the others are written over it one slice each.  Any other model
+    is written cell by cell on its listed cosets."""
+    n, size = params.order, len(plan.spine_pattern)
+    q = n // size
+    code = dict(zip((S3, S2, S1, Z, Y, X) if plan.reflected else labeling.ROLES, range(1, 7)))
+    if all(g % q == 0 for g in plan.model):
+        uniform = {(role,) * size: code[role] for role in HAIR_ROLES}
+        period = bytearray(map(uniform.get, plan.patterns, itertools.repeat(0)))
+        roles, r = period * size, period.find(0)
+        while r >= 0:
+            roles[r::q] = bytes(map(code.get, plan.patterns[r]))
+            r = period.find(0, r + 1)
+    else:
+        roles = bytearray(n)
+        for pattern, comp in zip(plan.patterns, group.cosets(params, plan.model)):
             for role, v in zip(pattern, comp):
-                part[role].append(v)
-    if not plan.reflected:
-        return labeling.partition_to_labeling(params, shape, part)
-    mirror = labeling.make_shape(params, shape.h[::-1])
-    return labeling.reflect(params, labeling.partition_to_labeling(params, mirror, part))
+                roles[v] = code[role]
+    return labeling.role_map_to_labeling(params, shape, roles)
 
 
 def empty_x_twin(params: GroupParams, shape: Shape) -> Optional[Shape]:

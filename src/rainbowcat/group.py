@@ -4,15 +4,19 @@ Inside the package an element is an integer index in [0, p^k): its base-p
 digits are the coordinates, most significant first, so index order is
 lexicographic order.  Addition is XOR at p = 2 and digit-wise mod p
 otherwise; coset r of the top coordinates' subspace of index q is the
-stride range(r, p^k, q).  Coordinates are the boundary form, and they appear
-only where elements come in or go out: element_from_json validates and
-converts one JSON element, format_elements writes the coordinates of many
-indices as text, and GroupParams.element gives the tuple of one index (plan
-dumps, verify's vertex names, the Labeling's tuple views).
+stride r, r + q, ...  A set of elements can be an int, byte v nonzero iff v
+is in it: adding a nonzero digit d at weight w rotates every block of p*w
+elements by d*w, so translate_set moves the whole set at once.  Coordinates
+are the boundary form, and they appear only where elements come in or go
+out: element_from_json validates and converts one JSON element,
+format_elements writes the coordinates of many indices as text, and
+GroupParams.element gives the tuple of one index (plan dumps, verify's
+vertex names, the Labeling's tuple views).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
@@ -110,6 +114,26 @@ def translate(params: GroupParams, a: int, cells: Sequence[int]) -> List[int]:
     return out
 
 
+def translate_set(params: GroupParams, a: int, s: int) -> int:
+    """{a + v : v in s} for a set s held as one byte per element: per nonzero
+    digit d of a at weight w, the bytes whose digit is below p - d move up
+    by d*w and the others wrap down by (p - d)*w, within their p*w block."""
+    p, n, w = params.p, params.order, 1
+    below = _below if n <= 4096 else _below.__wrapped__  # at most 2 MB cached
+    while a:
+        a, d = divmod(a, p)
+        if d:
+            s = ((s & below(p, n, w, p - d)) << 8 * d * w) | ((s >> 8 * (p - d) * w) & below(p, n, w, d))
+        w *= p
+    return s
+
+
+@functools.lru_cache(maxsize=512)
+def _below(p: int, n: int, w: int, j: int) -> int:
+    """Byte 0xff at every index in [0, n) whose digit at weight w is below j."""
+    return int.from_bytes((b"\xff" * (j * w) + bytes((p - j) * w)) * (n // (p * w)), "little")
+
+
 def add(params: GroupParams, a: int, b: int) -> int:
     return translate(params, a, (b,))[0]
 
@@ -144,21 +168,17 @@ def span(params: GroupParams, gens: Iterable[int]) -> List[int]:
     return sorted(subgroup)
 
 
-def cosets(params: GroupParams, gens: Sequence[int]) -> List[Sequence[int]]:
+def cosets(params: GroupParams, gens: Sequence[int]) -> List[List[int]]:
     """Partition of the group into cosets of H = span(gens).
 
     H comes first, in order.  Every other coset C follows in order of
     min(C) and is listed as min(C) + h for h in H, so position i of every
     coset corresponds to H[i].  If the gens lie in the subspace of the top
     coordinates, as every canonical and recipe model does, H is that
-    subspace and coset r is the stride range(r, n, q), n = p^k, q = n / |H|.
+    subspace and coset r is the stride r, r + q, ... (q = p^k / |H|).
     """
-    n, subgroup = params.order, span(params, gens)
-    q = n // len(subgroup)
-    if all(g % q == 0 for g in gens):
-        return [range(r, n, q) for r in range(q)]
-    seen, out = set(), []
-    for rep in range(n):
+    subgroup, seen, out = span(params, gens), set(), []
+    for rep in range(params.order):
         if rep not in seen:
             out.append(translate(params, rep, subgroup))
             seen.update(out[-1])

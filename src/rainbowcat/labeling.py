@@ -17,6 +17,7 @@ them.
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import group
@@ -69,7 +70,7 @@ def residues(params: GroupParams, shape: Shape) -> ResidueTriple:
 
 
 def _check_shape(params: GroupParams, shape: Shape) -> None:
-    if sum(shape.h) != params.order - 3 or any(v < 0 for v in shape.h):
+    if sum(shape.h) != params.order - 3 or min(shape.h) < 0:
         raise InvalidShapeError(f"shape {shape.h} invalid for Z_{params.p}^{params.k}")
 
 
@@ -109,6 +110,25 @@ class Labeling(NamedTuple):
 
 def make_labeling(params: GroupParams, spine, x, y, z) -> Labeling:
     return Labeling(params, tuple(spine), tuple(sorted(x)), tuple(sorted(y)), tuple(sorted(z)))
+
+
+# A role map holds one code per element in a bytearray of the group order:
+# role i of ROLES has code i + 1 (s1, s2, s3 are 1-3; x, y, z 4-6), 0 is none.
+# _PICK[codes] is the bytes.translate table that maps those codes to 1.
+ROLES = SPINE_ROLES + HAIR_ROLES
+_PICK = {c: bytes(b in c for b in range(256)) for c in ((4,), (5,), (6,), (1, 3, 5))}
+
+
+def role_map_to_labeling(params: GroupParams, shape: Shape, roles: bytearray) -> Labeling:
+    """The labeling of a role map of the shape.  A hair class is read in
+    index order through a list: a tuple built from the iterator keeps more
+    memory."""
+    cells = range(params.order)
+    hairs = [tuple(list(itertools.compress(cells, roles.translate(_PICK[(c,)])))) for c in (4, 5, 6)]
+    sizes = tuple(map(len, hairs))
+    if sizes != shape.h:
+        raise PartitionShapeMismatchError(f"role-class sizes {sizes} != shape {shape.h}")
+    return Labeling(params, tuple(map(roles.index, (1, 2, 3))), *hairs)
 
 
 # Role classes: each of S1, S2, S3, X, Y, Z -> its cells, in any order.
@@ -178,15 +198,34 @@ def verify(params: GroupParams, shape: Shape, lab: Labeling) -> VerifyReport:
     the missing edge label if valid.  A count mismatch raises
     PartitionShapeMismatchError, a label outside [0, p^k) InvalidElementError.
 
-    The labels are indices already, so the checks run on integer sets and
-    sums after one range check.
+    The labels are scattered once into a role map.  p^k labels are a
+    bijection when no cell is left empty and they sum to 0 + 1 + ... +
+    (p^k - 1), which a negative index, wrapped around in the map, does not.
+    The edge labels are then three translated sets (group.translate_set),
+    distinct when they miss exactly one cell, the missing edge label.  Only
+    on a failure are the labels scanned one by one, in order.
     """
     _check_shape(params, shape)
     sizes = (len(lab.x_ix), len(lab.y_ix), len(lab.z_ix))
     if sizes != shape.h:
         raise PartitionShapeMismatchError(f"hair counts {sizes} != shape {shape.h}")
+    n, roles = params.order, bytearray(params.order)
+    classes = (*zip(lab.spine_ix), lab.x_ix, lab.y_ix, lab.z_ix)  # codes 1 to 6
+    try:
+        for code, cells in enumerate(classes, 1):
+            for v in cells:
+                roles[v] = code
+    except IndexError:  # the scan names the index
+        pass
+    else:
+        if len(classes) == 6 and 0 not in roles and sum(map(sum, classes)) == n * (n - 1) // 2:
+            edges = 0  # a1 + X, a2 + (a1, a3, Y), a3 + Z
+            for a, codes in zip(lab.spine_ix, ((4,), (1, 3, 5), (6,))):
+                edges |= group.translate_set(params, a, int.from_bytes(roles.translate(_PICK[codes]), "little"))
+            covered = edges.to_bytes(n, "little")
+            if covered.count(0) == 1:
+                return VerifyReport(True, missing_edge_label=covered.index(0))
     idx = lab.vertices()
-    n = params.order
     if min(idx) < 0 or max(idx) >= n:
         bad = next(v for v in idx if not 0 <= v < n)
         raise InvalidElementError(f"{bad} is not an element index of Z_{params.p}^{params.k}")

@@ -230,8 +230,7 @@ def _coset_cases():
 
 @pytest.mark.parametrize("prm, gens", _coset_cases())
 def test_cosets_layout_on_indices(prm, gens):
-    # a coset may be a range (the strided layout), so compare it as a list
-    comps = [list(c) for c in group.cosets(prm, gens)]
+    comps = group.cosets(prm, gens)
     assert comps[0] == group.span(prm, gens)
     mins = [min(c) for c in comps]
     assert mins[0] == 0 and mins == sorted(mins)
@@ -278,6 +277,38 @@ class TestSpan:
         prm, e = t
         if e != zero(prm):
             assert len(TupleGroup(prm).span([e])) == prm.p
+
+
+def _byte_set(prm, cells):
+    """A set of indices as translate_set holds it: byte v is 1 iff v is in it."""
+    return int.from_bytes(bytes(v in cells for v in range(prm.order)), "little")
+
+
+@st.composite
+def group_element_and_set(draw):
+    """Z_p^k with p in {2, 3, 5, 7} and k <= 3, a coordinate tuple a, most
+    with several nonzero digits, and a set of indices, often empty or full."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    k = draw(st.integers(1, 3))
+    prm = GroupParams(p, k)
+    a = draw(st.tuples(*[st.integers(0, p - 1)] * k))
+    cells = st.frozensets(st.integers(0, prm.order - 1))
+    return prm, a, draw(st.sampled_from((frozenset(), frozenset(range(prm.order)))) | cells)
+
+
+class TestTranslateSet:
+    @given(group_element_and_set())
+    @example((GroupParams(7, 3), (3, 5, 6), frozenset({0, 1, 48, 49, 300, 342})))
+    @example((GroupParams(5, 3), (4, 4, 4), frozenset(range(0, 125, 3))))
+    @example((GroupParams(3, 3), (1, 2, 2), frozenset(range(27))))
+    @example((GroupParams(2, 3), (1, 1, 1), frozenset()))
+    def test_translate_set_matches_tuple_sums(self, t):
+        prm, a, cells = t
+        shifted = {
+            index(prm, [(x + y) % prm.p for x, y in zip(a, prm.element(v))]) for v in cells
+        }
+        got = group.translate_set(prm, index(prm, a), _byte_set(prm, cells))
+        assert got == _byte_set(prm, shifted)
 
 
 class TestCosets:

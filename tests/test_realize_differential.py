@@ -1,20 +1,22 @@
-"""constructor._realize, which places a uniform block's whole coset in one
-step, against testkit.reference_realize, which places every cell by itself
-on cosets built in tuple arithmetic.
+"""constructor._realize, which writes a plan into a role map one strided
+coset at a time, against testkit.reference_realize, which places every cell
+by itself on cosets built in tuple arithmetic.
 
 The plans are the ones build picks for a seeded sample of shapes on the
 groups of the label-recipes and label-corners benchmark workloads: the
 recipes at p >= 5, reflected plans, the plans of empty-X twins and the block
-menus at p in {2, 3}.
+menus at p in {2, 3}.  Plans of the block menus on models outside the top
+coordinates, which only oracle.search(models=...) places, cover the listed
+coset layout.
 """
 
 import random
 
 import pytest
 
-from rainbowcat import constructor, labeling, oracle
+from rainbowcat import constructor, group, labeling, oracle
 from rainbowcat.group import GroupParams
-from testkit import reference_realize
+from testkit import naive_models, reference_realize
 
 RECIPE_GROUPS = [(2, 7), (2, 8), (3, 4), (5, 3), (7, 2), (7, 3), (11, 2), (13, 2)]
 CORNER_GROUPS = [(5, 2), (7, 2), (11, 2)]
@@ -92,3 +94,34 @@ def test_sample_covers_every_plan_kind():
             kinds |= {"twin"} if twin is not None else set()
             kinds |= {"mixed"} if plan.mixed else set()
     assert kinds == {"menus", "reflected", "twin", "mixed"}
+
+
+LISTED_GROUPS = [(2, 4), (3, 2), (3, 3), (5, 2)]
+
+
+def _listed_plans(params):
+    """Block-menu plans on a seeded sample of the models of naive_models
+    whose span is a proper subgroup other than the top coordinates'."""
+    rng = random.Random(f"listed/{params.p}/{params.k}")
+    n, shapes, models = params.order, oracle.all_shapes(params), []
+    for a, b in sorted(set(naive_models(params))):
+        size = len(group.span(params, [a, b]))
+        if size < n and (a % (n // size) or b % (n // size)):
+            models.append((a, b))
+    for a, b in rng.sample(models, min(20, len(models))):
+        for shape in rng.sample(shapes, min(10, len(shapes))):
+            plan = constructor._block_plan(params, shape, a, b)
+            if plan is not None:
+                yield shape, plan
+
+
+@pytest.mark.parametrize(
+    "params", [GroupParams(p, k) for p, k in LISTED_GROUPS], ids=[f"Z{p}^{k}" for p, k in LISTED_GROUPS]
+)
+def test_listed_layout_matches_cell_by_cell(params):
+    plans = list(_listed_plans(params))
+    assert len(plans) >= 20
+    for shape, plan in plans:
+        assert constructor._realize(params, shape, plan) == reference_realize(params, shape, plan), (
+            shape.h, plan
+        )

@@ -1,33 +1,51 @@
 """labeling.verify against perfbench/rbcheck.py, the benchmark's independent
-checker, on constructed labelings and on seeded corruptions of them.
+checker, and against testkit.reference_verify, the list-based verifier, on
+constructed labelings and on corruptions of them.
 
 rbcheck shares no code with the package, so the two must agree on validity
-and on the missing edge label wherever both give a verdict.
+and on the missing edge label wherever both give a verdict.  The reference
+must give the same whole report, or raise the same error with the same
+message.
 """
 
 import importlib.util
 import json
 import pathlib
 import random
+import sys
 
 import pytest
 
 from rainbowcat import constructor, labeling, oracle
-from rainbowcat.errors import InvalidElementError, PartitionShapeMismatchError
+from rainbowcat.errors import InvalidElementError, PartitionShapeMismatchError, RainbowError
 from rainbowcat.group import GroupParams
-from rainbowcat.labeling import HAIR_ROLES
+from rainbowcat.labeling import HAIR_ROLES, Labeling
+from testkit import reference_verify
 
-RBCHECK = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "rbcheck.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _rbcheck():
-    spec = importlib.util.spec_from_file_location("perfbench_rbcheck", RBCHECK)
+    spec = importlib.util.spec_from_file_location("perfbench_rbcheck", PERFBENCH / "rbcheck.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
+def _corrupt():
+    """perfbench/workloads.py's corrupt, which imports its siblings."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return module.corrupt, module.CORRUPTIONS
+
+
 rbcheck = _rbcheck()
+corrupt, CORRUPTIONS = _corrupt()
 GROUPS = [(2, 4), (3, 3), (5, 2), (7, 2)]
 
 
@@ -107,3 +125,70 @@ def test_verify_agrees_with_rbcheck(p, k):
         with pytest.raises(InvalidElementError):
             labeling.verify(params, shape, bad)
     assert outcomes["moved_invalid"] > 0
+
+
+def _outcome(verify, params, shape, lab):
+    try:
+        return verify(params, shape, lab)
+    except RainbowError as exc:
+        return type(exc), str(exc)
+
+
+def _same(params, shape, lab):
+    """verify and reference_verify give the same report or the same error."""
+    got = _outcome(labeling.verify, params, shape, lab)
+    assert got == _outcome(reference_verify, params, shape, lab), (shape.h, lab)
+    return got
+
+
+def _replaced(lab, old, new):
+    """The labeling with label old, wherever it sits, replaced by new; the
+    hair tuples keep their order."""
+    swap = lambda cells: tuple(new if v == old else v for v in cells)
+    return Labeling(lab.params, swap(lab.spine_ix), *map(swap, (lab.x_ix, lab.y_ix, lab.z_ix)))
+
+
+def _hand_built(params, lab):
+    """Labelings a reader or a caller can hand to verify: -1 for p^k - 1,
+    the index p^k, a repeated spine label, a hair that repeats a spine
+    label, and the hair tuples reversed, valid and with a repeat."""
+    n, (a1, a2, a3) = params.order, lab.spine_ix
+    hairs = (lab.x_ix, lab.y_ix, lab.z_ix)
+    role = next(j for j, cells in enumerate(hairs) if cells)
+    hair = hairs[role][-1]
+    repeated = list(hairs)
+    repeated[role] = hairs[role][:-1] + (a2,)
+    yield _replaced(lab, n - 1, -1)
+    yield _replaced(lab, hair, n)
+    yield _replaced(lab, a3, -n)
+    yield Labeling(params, (a1, a2, a1), *hairs)
+    yield Labeling(params, lab.spine_ix, *repeated)
+    yield Labeling(params, lab.spine_ix, *(cells[::-1] for cells in hairs))
+    yield Labeling(params, lab.spine_ix, *(cells[::-1] for cells in repeated))
+
+
+@pytest.mark.parametrize("p, k", GROUPS, ids=[f"Z{p}^{k}" for p, k in GROUPS])
+def test_verify_matches_reference(p, k):
+    rng = random.Random(f"reference/{p}/{k}")
+    labelings = list(_labelings(p, k))
+    for params, shape, lab in labelings:
+        assert _same(params, shape, lab).valid
+        moved_shape, moved = _move_hair(params, shape, lab, rng)
+        assert _same(params, shape, moved)[0] is PartitionShapeMismatchError
+        _same(params, moved_shape, moved)
+        _same(params, shape, _duplicate_vertex(params, lab, rng))
+        assert _same(params, shape, _out_of_range(params, shape, lab, rng)[1])[0] is InvalidElementError
+        for bad in _hand_built(params, lab):
+            _same(params, shape, bad)
+    kinds = set()
+    for params, shape, lab in rng.sample(labelings, 20):
+        text = labeling.labeling_to_json(params, shape, lab)
+        for kind in CORRUPTIONS:
+            try:
+                read = labeling.labeling_from_dict(json.loads(corrupt(text, kind, rng)))
+            except (ValueError, RainbowError):
+                assert kind in ("truncated", "out_of_range")
+                continue
+            kinds.add(kind)
+            assert not _same(*read).valid
+    assert kinds == {"duplicate_vertex", "duplicate_edge"}

@@ -3,9 +3,10 @@ conversions between them and the package's integer elements, a second,
 rule-by-rule statement of the rainbow constraint, labeling transforms under
 the group's symmetries, every translated spine model (the reference for the
 canonical reduction), the full predicate-vs-oracle table of a group, the
-subgroup closure, coset layout and cell-by-cell placement of a plan that
-span, cosets and _realize are checked against, and the tuple-based label
-writers that the package's writers are checked against."""
+subgroup closure, coset layout, cell-by-cell placement of a plan and
+list-based verifier that span, cosets, _realize and verify are checked
+against, and the tuple-based label writers that the package's writers are
+checked against."""
 
 import itertools
 import json
@@ -14,7 +15,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 import pytest
 
 from rainbowcat import group, labeling, oracle
-from rainbowcat.errors import RainbowError
+from rainbowcat.errors import InvalidElementError, PartitionShapeMismatchError, RainbowError
 from rainbowcat.group import Element, GroupParams
 from rainbowcat.labeling import HAIR_ROLES, S1, S2, S3, SPINE_ROLES, X, Y, Z, Labeling, Shape
 
@@ -134,6 +135,43 @@ def reference_realize(params: GroupParams, shape: Shape, plan) -> Labeling:
         return labeling.partition_to_labeling(params, shape, part)
     mirror = labeling.make_shape(params, shape.h[::-1])
     return labeling.reflect(params, labeling.partition_to_labeling(params, mirror, part))
+
+
+def reference_verify(params: GroupParams, shape: Shape, lab: Labeling) -> labeling.VerifyReport:
+    """labeling.verify by lists: a range check, then the first repeat among
+    the vertices and among the edge labels of group.translate, each found
+    by a set and a scan in canonical order.  The reference that
+    labeling.verify, which checks a valid labeling on a role map and
+    translated sets, is checked against."""
+    labeling._check_shape(params, shape)
+    sizes = (len(lab.x_ix), len(lab.y_ix), len(lab.z_ix))
+    if sizes != shape.h:
+        raise PartitionShapeMismatchError(f"hair counts {sizes} != shape {shape.h}")
+    idx = lab.vertices()
+    n = params.order
+    if min(idx) < 0 or max(idx) >= n:
+        bad = next(v for v in idx if not 0 <= v < n)
+        raise InvalidElementError(f"{bad} is not an element index of Z_{params.p}^{params.k}")
+
+    dup_vertex = labeling._first_repeat(idx)
+    if dup_vertex is not None:
+        roles = lab.roles()
+        dup_vertex = tuple(
+            f"spine{i + 1}" if i < 3 else f"hair {roles[i]} {params.element(idx[i])}"
+            for i in dup_vertex
+        )
+    elif len(idx) != n:
+        raise PartitionShapeMismatchError(f"labeling has {len(idx)} vertices, group has {n}")
+
+    sums = labeling.edge_labels(params, lab)
+    dup_edge = labeling._first_repeat(sums)
+    if dup_edge is not None:
+        edges = list(labeling._edges(lab))
+        dup_edge = tuple(edges[i] for i in dup_edge)
+
+    valid = dup_vertex is None and dup_edge is None
+    missing = n * (n - 1) // 2 - sum(sums) if valid else None
+    return labeling.VerifyReport(valid, dup_vertex, dup_edge, missing)
 
 
 def payload(params: GroupParams, shape: Shape, spine, x=(), y=(), z=()) -> dict:
