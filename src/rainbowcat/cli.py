@@ -190,7 +190,8 @@ def cmd_verify(args) -> int:
             with open(args.input) as fh:
                 payload = fh.read()
         params, shape, lab = labeling.labeling_from_dict(json.loads(payload))
-    except (OSError, json.JSONDecodeError, RainbowError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, RainbowError, ValueError, RecursionError) as exc:
+        # RecursionError: json.loads on a deeply nested payload
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     # free the raw text before verify allocates its edge labels

@@ -5,7 +5,8 @@ p >= 5, two for p = 3, a parity rule for p = 2).  Construction picks one
 plan, a ComponentPlan: a spine model [a,0,b] and a role pattern per coset of
 H = span(a, b), in group.cosets order, the spine coset first with its
 markers s1, s2, s3.  build picks the plan once, realizes it once (_realize:
-strided byte slices of a role map) and verifies it once; nothing in it
+strided byte slices of a role map, written with relabeled roles for a plan
+made for the mirror or the twin shape) and verifies it once; nothing in it
 searches over labelings.  The plans come from:
 
 * residue sum p-3: one spine-component pattern in a general model [a,0,b];
@@ -14,7 +15,7 @@ searches over labelings.  The plans come from:
 * residue sum 3p-3: the (p-1,p-1,p-1) identity in the model [a,0,-a];
 * the empty-X corner, residues (0, p-1, p-2) with h1 = 0: C(0,h2,h3) is the
   same tree as C(h2+1, h3-1, 0), whose residues (0, p-3, 0) take the first
-  recipe; its labeling maps back (empty_x_twin; the mirror likewise).
+  recipe (empty_x_twin; the mirror likewise).
 
 So at p >= 5 every feasible shape takes a recipe or the empty-X twin.  Only
 p in {2,3} walks the canonical spine models (small_p_patterns).
@@ -67,10 +68,6 @@ class FeasibilityVerdict(NamedTuple):
 def feasibility(params: GroupParams, shape: Shape) -> FeasibilityVerdict:
     """Decide realizability from the hair counts alone."""
     labeling._check_shape(params, shape)
-    if params.order < 4:
-        raise UnsupportedInstanceError(
-            f"Z_{params.p}^{params.k} is too small for the three-spine analysis"
-        )
     p = params.p
     h1, h2, h3 = shape.h
     a, b, g = labeling.residues(params, shape)
@@ -370,16 +367,33 @@ def _plan_general(params, h, a, b, g) -> ComponentPlan:
     return _finish_plan(params, h, a_prime, b_prime, spine, mixed, reflected)
 
 
-def _realize(params: GroupParams, shape: Shape, plan: ComponentPlan) -> Labeling:
+# _realize's codes (labeling.ROLES) for the plan roles s1, s2, s3, x, y, z and
+# the spine code the lowest y-coded cell then takes (0: none), for a plan as
+# made, reflected, and of the twin of an h1 = 0 or h3 = 0 empty-X corner.
+_DIRECT = dict(zip(labeling.ROLES, (1, 2, 3, 4, 5, 6))), 0
+_MIRROR = dict(zip(labeling.ROLES, (3, 2, 1, 6, 5, 4))), 0
+_TWIN = dict(zip(labeling.ROLES, (2, 3, 6, 5, 6, 6))), 1
+_MIRROR_TWIN = dict(zip(labeling.ROLES, (4, 1, 2, 5, 4, 5))), 3
+
+
+def _realize(params: GroupParams, shape: Shape, plan: ComponentPlan, twin: bool = False) -> Labeling:
     """The labeling of the shape that the plan places, written into a role
-    map (labeling.ROLES), with the mirror roles' codes when the plan was made
-    for the mirror shape.  On a model in the top coordinates coset r is the
-    slice roles[r::q]: the uniform cosets fill a q-byte period repeated |H|
-    times, the others are written over it one slice each.  Any other model
+    map (labeling.ROLES).  Mirror and twin are relabelings of the roles at
+    write time: a reflected plan is written with the mirror roles' codes,
+    and with twin set the plan of the shape's empty_x_twin with the
+    corner's.  From C(h2+1,h3-1,0) with spine (b1,b2,b3), C(0,h2,h3) has
+    a2 = b1, a3 = b2, a1 the lowest X hair, Y the other X hairs and Z the Y
+    hairs and b3; the mirror corner likewise.  On a model in the top
+    coordinates coset r is the slice roles[r::q]: the uniform cosets fill a
+    q-byte period repeated |H| times, the others are written over it one
+    slice each (a whole-group model, q = 1, is one slice).  Any other model
     is written cell by cell on its listed cosets."""
     n, size = params.order, len(plan.spine_pattern)
     q = n // size
-    code = dict(zip((S3, S2, S1, Z, Y, X) if plan.reflected else labeling.ROLES, range(1, 7)))
+    if twin:
+        code, spine = _TWIN if shape.h[0] == 0 else _MIRROR_TWIN
+    else:
+        code, spine = _MIRROR if plan.reflected else _DIRECT
     if all(g % q == 0 for g in plan.model):
         uniform = {(role,) * size: code[role] for role in HAIR_ROLES}
         period = bytearray(map(uniform.get, plan.patterns, itertools.repeat(0)))
@@ -392,6 +406,8 @@ def _realize(params: GroupParams, shape: Shape, plan: ComponentPlan) -> Labeling
         for pattern, comp in zip(plan.patterns, group.cosets(params, plan.model)):
             for role, v in zip(pattern, comp):
                 roles[v] = code[role]
+    if spine:
+        roles[roles.index(5)] = spine  # the lowest cell coded y
     return labeling.role_map_to_labeling(params, shape, roles)
 
 
@@ -412,22 +428,6 @@ def empty_x_twin(params: GroupParams, shape: Shape) -> Optional[Shape]:
     if p >= 5 and h3 == 0 and res == (p - 2, p - 1, 0):
         return labeling.make_shape(params, (0, h1 - 1, h2 + 1))
     return None
-
-
-def _from_twin(params: GroupParams, shape: Shape, twin: Labeling) -> Labeling:
-    """Map a labeling of empty_x_twin(shape) back to the corner shape.
-
-    For C(0,h2,h3) from C(h2+1,h3-1,0) with spine (b1,b2,b3): a1 is the
-    first X hair, a2 = b1, a3 = b2, Y is the other X hairs and Z is the Y
-    hairs plus b3.  The mirror corner goes through the reflection.
-    """
-    mirrored = shape.h[0] != 0
-    if mirrored:
-        twin = labeling.reflect(params, twin)
-    b1, b2, b3 = twin.spine_ix
-    a1, *y = twin.x_ix
-    lab = labeling.make_labeling(params, (a1, b1, b2), (), y, twin.y_ix + (b3,))
-    return labeling.reflect(params, lab) if mirrored else lab
 
 
 # --- small-group machinery: enumerate per-component patterns ----------------
@@ -598,9 +598,7 @@ def build(params: GroupParams, shape: Shape) -> Tuple[Optional[Shape], Component
         plan = small_p_patterns(params, shape)
     else:
         plan = plan_components(params, twin or shape)
-    lab = _realize(params, twin or shape, plan)
-    if twin is not None:
-        lab = _from_twin(params, shape, lab)
+    lab = _realize(params, shape, plan, twin is not None)
     report = labeling.verify(params, shape, lab)
     if not report.valid:
         raise ConstructionError(f"internal: construction failed verification: {report}")

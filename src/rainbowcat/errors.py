@@ -18,7 +18,8 @@ class PartitionShapeMismatchError(RainbowError, ValueError):
 
 
 class UnsupportedInstanceError(RainbowError, ValueError):
-    """Group too small to carry a three-spine caterpillar analysis."""
+    """A routine called outside the cases it handles: small_p_patterns at
+    p >= 5, or the symmetric regular pattern at even p."""
 
 
 class OrderLimitError(RainbowError, ValueError):

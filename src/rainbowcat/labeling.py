@@ -1,5 +1,5 @@
-"""Caterpillar data model: shapes, labelings, role partitions, the verifier,
-the edge-label bit table, reflection, and the JSON schema.
+"""Caterpillar data model: shapes, labelings, role maps, the verifier, the
+edge-label bit table, and the JSON schema.
 
 The caterpillar C(h1,h2,h3) has three spine vertices carrying h1, h2, h3
 pendant hairs; its order equals the group order p^k.  A labeling assigns a
@@ -8,7 +8,7 @@ labels are stored as sets.  The verifier is the ground truth: a labeling is
 valid iff vertex labels are a bijection onto the group and the p^k - 1 edge
 sums are pairwise distinct.
 
-A Labeling, a VerifyReport, a role partition (the cells of each role) and
+A Labeling, a VerifyReport, a role map (one role code per element) and
 the edge-label bit table all hold elements as integer indices (see group).
 Coordinates appear only in the JSON schema, whose reader validates each
 element as it converts it and whose writer formats the indices as it prints
@@ -26,7 +26,7 @@ from .errors import (
 )
 from .group import Element, GroupParams
 
-# Role tags: the keys of a role partition.
+# Role tags: the roles of a plan's patterns and the keys of a role partition.
 X = "x"
 Y = "y"
 Z = "z"
@@ -63,8 +63,8 @@ class ResidueTriple(NamedTuple):
 
 
 def residues(params: GroupParams, shape: Shape) -> ResidueTriple:
-    """Hair counts reduced mod p; their sum is p-3 mod p by construction."""
-    _check_shape(params, shape)
+    """Hair counts reduced mod p; their sum is p-3 mod p by construction.
+    The shape is not checked: its callers run after a check of it."""
     a, b, c = (v % params.p for v in shape.h)
     return ResidueTriple(a, b, c)
 
@@ -132,6 +132,7 @@ def role_map_to_labeling(params: GroupParams, shape: Shape, roles: bytearray) ->
 
 
 # Role classes: each of S1, S2, S3, X, Y, Z -> its cells, in any order.
+# The package builds none; they stay because perfbench/spans.py traces partition_to_labeling.
 Partition = Dict[str, List[int]]
 
 
@@ -287,12 +288,6 @@ def role_label_bits(
         )
     }
     return (1 << a) | (1 << b), table
-
-
-def reflect(params: GroupParams, lab: Labeling) -> Labeling:
-    """Reverse the spine: swap a1<->a3 and the X/Z hair sets."""
-    a1, a2, a3 = lab.spine_ix
-    return Labeling(params, (a3, a2, a1), lab.z_ix, lab.y_ix, lab.x_ix)
 
 
 # --- JSON schema (bit-exact CLI contract) ---------------------------------

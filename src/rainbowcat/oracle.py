@@ -14,8 +14,7 @@ canonical family, and search decides each model in order:
   H = span(a, b), so the model is realizable exactly when the spine coset H
   realizes some count triple s and h - s is a sum of triples realizable on
   the regular cosets.  When H is a proper subgroup the constructor's per-coset
-  menus and decomposition (constructor._block_plan) decide it, and only the
-  plan of the model that succeeds is realized.
+  menus and decomposition (constructor._block_plan) decide it.
 * Whole group.  When H is the whole group, _search_model backtracks.  Its
   state is one bitset of unassigned cells and, per role, a bitset of the
   cells where that role would reuse a consumed label; giving a cell a role
@@ -24,12 +23,15 @@ canonical family, and search decides each model in order:
   remaining role quotas, and pick the most constrained cell, ties to the
   lowest canonical index.  A SearchBudget counts these nodes only.
 
+Either way the model that succeeds gives a ComponentPlan (a whole-group one
+has one pattern), which constructor._realize writes, as for construct.
+
 No budget counts the per-coset menus.  At k >= 3 those of the model
 (e1, e2) cover p^2 cells, too many to enumerate at p >= 7 (Z_7^3 below
 MAX_ORDER), so check_order refuses those groups as well as larger ones.
 
-Spine models, role classes, and the labeling and models an OracleVerdict
-reports, hold elements as integer indices (see group).
+Spine models, plans, and the labeling and models an OracleVerdict reports,
+hold elements as integer indices (see group).
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from . import constructor, labeling
 from .errors import OrderLimitError
 from .group import GroupParams
-from .labeling import Labeling, Shape
+from .labeling import HAIR_ROLES, SPINE_ROLES, Labeling, Shape
 
 
 class SearchBudget(NamedTuple):
@@ -115,8 +117,10 @@ def _search_model(
     a: int,
     b: int,
     budget: _Budget,
-) -> Optional[labeling.Partition]:
-    """Backtracking over one model; returns its role classes or None.
+) -> Optional[constructor.ComponentPlan]:
+    """Backtracking over one model; returns its plan or None.  H is the
+    whole group, so the plan's one pattern is every element's role in index
+    order, the markers s1, s2, s3 at a, 0, b.
 
     The model must be non-degenerate (a != b, both nonzero); search checks
     that and calls it only when a, b span the whole group.  None means
@@ -141,7 +145,8 @@ def _search_model(
     }
     bx, by, bz = (blocks[a][r] | blocks[b][r] for r in range(3))
     quotas = list(shape.h)
-    role_of = [0] * params.order
+    role_of = [None] * params.order
+    role_of[a], role_of[0], role_of[b] = SPINE_ROLES
 
     def backtrack(U: int, bx: int, by: int, bz: int) -> bool:
         if not U:
@@ -164,7 +169,7 @@ def _search_model(
             if budget.tick():
                 break
             quotas[r] -= 1
-            role_of[i] = r
+            role_of[i] = HAIR_ROLES[r]
             x, y, z = moves[i][r]
             if backtrack(rest, bx | x, by | y, bz | z):
                 return True
@@ -172,11 +177,7 @@ def _search_model(
         return False
 
     if backtrack(sum(1 << v for v in free), bx, by, bz):
-        roles = labeling.SPINE_ROLES + labeling.HAIR_ROLES
-        part: labeling.Partition = dict(zip(roles, ([a], [0], [b], [], [], [])))
-        for v in free:
-            part[labeling.HAIR_ROLES[role_of[v]]].append(v)
-        return part
+        return constructor.ComponentPlan((a, b), (tuple(role_of),), False)
     return None
 
 
@@ -213,14 +214,13 @@ def search(
         if labeling.missing_edge_label(params, shape, (a, 0, b)) in (a, b):
             continue
         if _spans_group(params, a, b):
-            part = _search_model(params, shape, a, b, state)
+            plan = _search_model(params, shape, a, b, state)
             if state.exhausted:
                 return OracleVerdict(BUDGETED, None, state.nodes, tuple(tried), _ms(start))
-            lab = None if part is None else labeling.partition_to_labeling(params, shape, part)
         else:
             plan = constructor._block_plan(params, shape, a, b)
-            lab = None if plan is None else constructor._realize(params, shape, plan)
-        if lab is not None:
+        if plan is not None:
+            lab = constructor._realize(params, shape, plan)
             return OracleVerdict(FOUND, lab, state.nodes, tuple(tried), _ms(start))
     return OracleVerdict(INFEASIBLE, None, state.nodes, tuple(tried), _ms(start))
 

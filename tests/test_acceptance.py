@@ -18,6 +18,7 @@ from testkit import (
     enumerate_table,
     matrix_is_invertible,
     naive_models,
+    reflect,
     role_classes,
     translate,
     tuple_models,
@@ -179,7 +180,7 @@ def test_criterion_7_invariance_1000_trials():
     for _ in range(1000):
         params, shape, lab = rng.choice(pool)
         mirror = labeling.make_shape(params, shape.h[::-1])
-        assert labeling.verify(params, mirror, labeling.reflect(params, lab)).valid
+        assert labeling.verify(params, mirror, reflect(params, lab)).valid
     for _ in range(1000):
         params, shape, lab = rng.choice(pool)
         while True:

@@ -189,6 +189,24 @@ def test_closed_stdout_exits_2(argv):
     assert proc.stderr == ""
 
 
+def test_z3_1_commands_agree(capsys, tmp_path):
+    """Z_3^1 carries only C(0,0,0): feasible, label (checked by verify),
+    oracle and table all answer that it is rainbow."""
+    instance = ["--p", "3", "--k", "1", "--hairs", "0,0,0"]
+    assert run(capsys, "feasible", *instance)[:2] == (0, "feasible\n")
+    code, out, _ = run(capsys, "label", *instance, "--format", "json")
+    assert code == 0
+    f = tmp_path / "z3_1.json"
+    f.write_text(out)
+    code, out, _ = run(capsys, "verify", "--input", str(f))
+    assert (code, out) == (0, "valid missing=(0)\n")
+    code, out, _ = run(capsys, "oracle", *instance)
+    assert code == 0 and out.startswith("found")
+    code, out, _ = run(capsys, "table", "--p", "3", "--k", "1", "--cross-check")
+    assert code == 0
+    assert [json.loads(line)["agree"] for line in out.splitlines()] == [True]
+
+
 # Runs the command given as arguments (none: import only) in a fresh
 # interpreter and prints its exit code and which watched modules it loaded.
 _COLD_PROBE = """
@@ -431,6 +449,20 @@ class TestVerify:
         f.write_text("{not json")
         code, _, err = run(capsys, "verify", "--input", str(f))
         assert code == 2
+
+    def test_deeply_nested_exit_2(self):
+        # json.loads raises RecursionError on this nesting; it is a parse
+        # error, not a crash that exits 1 ("invalid")
+        proc = subprocess.run(
+            [sys.executable, "-m", "rainbowcat.cli", "verify"],
+            input="[" * 100_000 + "]" * 100_000, capture_output=True, text=True,
+            timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("parse error: ")
+        assert "Traceback" not in proc.stderr
 
     def test_missing_file(self, capsys):
         code, _, _ = run(capsys, "verify", "--input", "/nonexistent/file.json")

@@ -45,10 +45,10 @@ class TestFeasibility:
             v = constructor.feasibility(params, shape)
             assert v.feasible == (v.exception is None)
 
-    def test_tiny_group_unsupported(self):
+    def test_tiny_group_feasible(self):
+        # Z_3^1 carries only the bare spine C(0,0,0), labeled (1, 0, 2)
         params = GroupParams(3, 1)
-        with pytest.raises(UnsupportedInstanceError):
-            constructor.feasibility(params, labeling.make_shape(params, (0, 0, 0)))
+        assert constructor.feasibility(params, labeling.make_shape(params, (0, 0, 0))).feasible
 
     def test_reflection_coherence(self):
         for p, k in ((3, 2), (5, 2), (2, 3)):

@@ -17,6 +17,7 @@ from testkit import (
     apply_automorphism,
     check_forbidden,
     elements,
+    reflect,
     role_classes,
     translate,
     zero,
@@ -207,9 +208,9 @@ class TestTransforms:
 
     def test_reflect_involution_and_shape(self):
         for params, shape, lab in VALID[:5]:
-            assert labeling.reflect(params, labeling.reflect(params, lab)) == lab
+            assert reflect(params, reflect(params, lab)) == lab
         params, shape, lab = next(v for v in VALID if v[1].h[0] != v[1].h[2])
-        r = labeling.reflect(params, lab)
+        r = reflect(params, lab)
         rshape = labeling.make_shape(params, shape.h[::-1])
         assert labeling.verify(params, rshape, r).valid
 

@@ -138,10 +138,10 @@ def test_search_model_matches_brute_force(params, a, b):
     rainbow = _rainbow_counts(params, a, b)
     assert rainbow
     for shape in oracle.all_shapes(params):
-        part = oracle._search_model(params, shape, a, b, oracle._Budget(None))
-        assert (part is not None) == (shape.h in rainbow), shape.h
-        if part is not None:
-            lab = labeling.partition_to_labeling(params, shape, part)
+        plan = oracle._search_model(params, shape, a, b, oracle._Budget(None))
+        assert (plan is not None) == (shape.h in rainbow), shape.h
+        if plan is not None:
+            lab = constructor._realize(params, shape, plan)
             assert labeling.verify(params, shape, lab).valid, shape.h
         # search's decision of the single model, missing-label prune included
         verdict = oracle.search(params, shape, models=[(a, b)])
@@ -167,8 +167,8 @@ def _decision_cases():
 def test_model_decision_matches_search_model(params, a, b):
     for shape in oracle.all_shapes(params):
         verdict = oracle.search(params, shape, models=[(a, b)])
-        part = oracle._search_model(params, shape, a, b, oracle._Budget(None))
-        assert (verdict.outcome == oracle.FOUND) == (part is not None), shape.h
+        plan = oracle._search_model(params, shape, a, b, oracle._Budget(None))
+        assert (verdict.outcome == oracle.FOUND) == (plan is not None), shape.h
         if verdict.outcome == oracle.FOUND:
             assert labeling.verify(params, shape, verdict.labeling).valid, shape.h
 
@@ -180,10 +180,10 @@ def test_search_model_recursion_at_order_limit():
     shape = labeling.make_shape(params, (0, 509, 0))
     a, b = constructor.canonical_models(params)[0]
     budget = oracle._Budget(oracle.SearchBudget(node_limit=600))
-    part = oracle._search_model(params, shape, a, b, budget)
-    assert part is not None
+    plan = oracle._search_model(params, shape, a, b, budget)
+    assert plan is not None
     assert budget.nodes == 509
-    lab = labeling.partition_to_labeling(params, shape, part)
+    lab = constructor._realize(params, shape, plan)
     assert labeling.verify(params, shape, lab).valid
 
 

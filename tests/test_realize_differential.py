@@ -7,7 +7,10 @@ groups of the label-recipes and label-corners benchmark workloads: the
 recipes at p >= 5, reflected plans, the plans of empty-X twins and the block
 menus at p in {2, 3}.  Plans of the block menus on models outside the top
 coordinates, which only oracle.search(models=...) places, cover the listed
-coset layout.
+coset layout.  Every empty-X corner of five groups is written from its
+twin's plan with the corner's roles, against the twin's labeling mapped
+back by testkit.reference_from_twin, and every plan of the oracle's
+whole-group search on two groups is written as one slice.
 """
 
 import random
@@ -16,7 +19,7 @@ import pytest
 
 from rainbowcat import constructor, group, labeling, oracle
 from rainbowcat.group import GroupParams
-from testkit import naive_models, reference_realize
+from testkit import naive_models, reference_from_twin, reference_realize
 
 RECIPE_GROUPS = [(2, 7), (2, 8), (3, 4), (5, 3), (7, 2), (7, 3), (11, 2), (13, 2)]
 CORNER_GROUPS = [(5, 2), (7, 2), (11, 2)]
@@ -125,3 +128,46 @@ def test_listed_layout_matches_cell_by_cell(params):
         assert constructor._realize(params, shape, plan) == reference_realize(params, shape, plan), (
             shape.h, plan
         )
+
+
+TWIN_GROUPS = [(5, 2), (7, 2), (11, 2), (13, 2), (5, 3)]
+
+
+@pytest.mark.parametrize(
+    "params", [GroupParams(p, k) for p, k in TWIN_GROUPS], ids=[f"Z{p}^{k}" for p, k in TWIN_GROUPS]
+)
+def test_twin_plan_written_as_corner(params):
+    """Every empty-X corner, h1 = 0 and the mirror h3 = 0: the twin's plan
+    written with the corner's roles is the twin's labeling mapped back."""
+    corners = {0: 0, 2: 0}
+    for shape in oracle.all_shapes(params):
+        twin = constructor.empty_x_twin(params, shape)
+        if twin is None:
+            continue
+        corners[shape.h.index(0)] += 1
+        plan = constructor.plan_components(params, twin)
+        assert not plan.reflected
+        expected = reference_from_twin(params, shape, reference_realize(params, twin, plan))
+        assert constructor._realize(params, shape, plan, True) == expected, shape.h
+    assert corners[0] == corners[2] > 0
+
+
+def _whole_group_models():
+    z52 = GroupParams(5, 2)
+    yield z52, constructor.canonical_models(z52)[-1]  # (e1, e2)
+    z71 = GroupParams(7, 1)
+    yield from ((z71, model) for model in constructor.canonical_models(z71))
+
+
+@pytest.mark.parametrize("params, model", _whole_group_models())
+def test_whole_group_plan_matches_cell_by_cell(params, model):
+    """Every plan the whole-group search finds on the model is one pattern
+    over the group, written as one slice."""
+    found = 0
+    for shape in oracle.all_shapes(params):
+        plan = oracle._search_model(params, shape, *model, oracle._Budget(None))
+        if plan is not None:
+            found += 1
+            assert len(plan.patterns) == 1 and plan.model == model
+            assert constructor._realize(params, shape, plan) == reference_realize(params, shape, plan), shape.h
+    assert found > 0

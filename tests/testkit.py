@@ -3,10 +3,11 @@ conversions between them and the package's integer elements, a second,
 rule-by-rule statement of the rainbow constraint, labeling transforms under
 the group's symmetries, every translated spine model (the reference for the
 canonical reduction), the full predicate-vs-oracle table of a group, the
-subgroup closure, coset layout, cell-by-cell placement of a plan and
-list-based verifier that span, cosets, _realize and verify are checked
-against, and the tuple-based label writers that the package's writers are
-checked against."""
+subgroup closure, coset layout, cell-by-cell placement of a plan, mapping
+of an empty-X twin's labeling back to its corner and list-based verifier
+that span, cosets, _realize and verify are checked against, and the
+tuple-based label writers that the package's writers are checked
+against."""
 
 import itertools
 import json
@@ -134,7 +135,26 @@ def reference_realize(params: GroupParams, shape: Shape, plan) -> Labeling:
     if not plan.reflected:
         return labeling.partition_to_labeling(params, shape, part)
     mirror = labeling.make_shape(params, shape.h[::-1])
-    return labeling.reflect(params, labeling.partition_to_labeling(params, mirror, part))
+    return reflect(params, labeling.partition_to_labeling(params, mirror, part))
+
+
+def reference_from_twin(params: GroupParams, shape: Shape, twin: Labeling) -> Labeling:
+    """Map a labeling of constructor.empty_x_twin(shape) back to the corner
+    shape, on Labeling tuples: the reference that constructor._realize,
+    which writes the twin's plan with the corner's roles, is checked
+    against.
+
+    For C(0,h2,h3) from C(h2+1,h3-1,0) with spine (b1,b2,b3): a1 is the
+    first X hair, a2 = b1, a3 = b2, Y is the other X hairs and Z is the Y
+    hairs plus b3.  The mirror corner goes through the reflection.
+    """
+    mirrored = shape.h[0] != 0
+    if mirrored:
+        twin = reflect(params, twin)
+    b1, b2, b3 = twin.spine_ix
+    a1, *y = twin.x_ix
+    lab = labeling.make_labeling(params, (a1, b1, b2), (), y, twin.y_ix + (b3,))
+    return reflect(params, lab) if mirrored else lab
 
 
 def reference_verify(params: GroupParams, shape: Shape, lab: Labeling) -> labeling.VerifyReport:
@@ -260,6 +280,12 @@ def _map_labels(lab: Labeling, f) -> Labeling:
     return labeling.make_labeling(
         lab.params, *([ix(f(e)) for e in cells] for cells in (lab.spine, lab.x, lab.y, lab.z))
     )
+
+
+def reflect(params: GroupParams, lab: Labeling) -> Labeling:
+    """Reverse the spine: swap a1<->a3 and the X/Z hair sets."""
+    a1, a2, a3 = lab.spine_ix
+    return Labeling(params, (a3, a2, a1), lab.z_ix, lab.y_ix, lab.x_ix)
 
 
 def translate(params: GroupParams, lab: Labeling, c: Element) -> Labeling:
