@@ -29,7 +29,7 @@ import argparse
 import contextlib
 import os
 import sys
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from . import group, labeling
 from .errors import RainbowError
@@ -61,22 +61,25 @@ def _coords(params: GroupParams, cells) -> List[str]:
     return group.format_elements(params, cells, ",", "()")
 
 
-def _text(params: GroupParams, shape: Shape, lab: Labeling) -> str:
-    """The labeling as text; lab must be verified (missing_edge_label)."""
+def _text(params: GroupParams, shape: Shape, lab: Labeling) -> Iterator[str]:
+    """The labeling as text, in pieces (labeling.format_cells); lab must be
+    verified (missing_edge_label)."""
     zeta = labeling.missing_edge_label(params, shape, lab.spine_ix)
-    rows = [("spine", lab.spine_ix)] + [(role, lab.hair_ix(role)) for role in HAIR_ROLES]
-    rows.append(("missing", (zeta,)))
-    return "".join(f"{name}: " + " ".join(_coords(params, cells)) + "\n" for name, cells in rows)
+    rows = [("spine", lab.spine_ix)] + [(role, labeling.hair_cells(lab, role)) for role in HAIR_ROLES]
+    for name, cells in rows + [("missing", (zeta,))]:
+        yield f"{name}: "
+        yield from labeling.format_cells(params, cells, ",", "()", " ")
+        yield "\n"
 
 
 def _dot(params: GroupParams, lab: Labeling) -> str:
     names = _coords(params, range(params.order))
     lines = ["graph caterpillar {"]
-    nodes = sorted(zip(lab.vertices(), lab.roles()))
-    lines += [f'  n{v} [label="{names[v]}" role="{role}"];' for v, role in nodes]
+    lines += [f'  n{v} [label="{names[v]}" role="{labeling.ROLES[c - 1]}"];' for v, c in enumerate(lab.role_map)]
+    spine, hairs = lab.spine_ix, tuple(map(lab.hair_ix, HAIR_ROLES))
     lines += [
         f'  n{u} -- n{v} [label="{names[s]}"];'
-        for (u, v), s in zip(labeling._edges(lab), labeling.edge_labels(params, lab))
+        for (u, v), s in zip(labeling._edges(spine, hairs), labeling.edge_labels(params, spine, hairs))
     ]
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -100,11 +103,12 @@ def cmd_label(args) -> int:
             print(f"empty-X corner; built as the isomorphic tree C{twin.h}", file=sys.stderr)
         print(json.dumps(plan.to_debug_dict(params)), file=sys.stderr)
     if args.format == "json":
-        print(labeling.labeling_to_json(params, shape, lab))
+        sys.stdout.writelines(labeling.json_pieces(params, shape, lab))
+        sys.stdout.write("\n")
     elif args.format == "dot":
         sys.stdout.write(_dot(params, lab))
     else:
-        sys.stdout.write(_text(params, shape, lab))
+        sys.stdout.writelines(_text(params, shape, lab))
     return 0
 
 
@@ -189,7 +193,7 @@ def cmd_verify(args) -> int:
         else:
             with open(args.input) as fh:
                 payload = fh.read()
-        params, shape, lab = labeling.labeling_from_dict(json.loads(payload))
+        params, shape, *labels = labeling.labeling_from_dict(json.loads(payload))
     except (OSError, json.JSONDecodeError, RainbowError, ValueError, RecursionError) as exc:
         # RecursionError: json.loads on a deeply nested payload
         print(f"parse error: {exc}", file=sys.stderr)
@@ -197,7 +201,7 @@ def cmd_verify(args) -> int:
     # free the raw text before verify allocates its edge labels
     del payload
     try:
-        report = labeling.verify(params, shape, lab)
+        report = labeling.verify_labels(params, shape, *labels)
     except RainbowError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -27,8 +27,9 @@ the minimal sums of its mixed triples per residue class (|H| sums),
 completed with uniform blocks.  build refuses groups of order above
 MAX_ORDER, after the closed-form verdict.
 
-Models, cosets, role classes and the Labeling build returns all hold
-elements as integer indices (see group).
+Models, cosets and role classes hold elements as integer indices (see
+group); the Labeling build returns is the role map _realize wrote, which
+build verifies without converting it.
 """
 
 from __future__ import annotations
@@ -377,10 +378,10 @@ _MIRROR_TWIN = dict(zip(labeling.ROLES, (4, 1, 2, 5, 4, 5))), 3
 
 
 def _realize(params: GroupParams, shape: Shape, plan: ComponentPlan, twin: bool = False) -> Labeling:
-    """The labeling of the shape that the plan places, written into a role
-    map (labeling.ROLES).  Mirror and twin are relabelings of the roles at
-    write time: a reflected plan is written with the mirror roles' codes,
-    and with twin set the plan of the shape's empty_x_twin with the
+    """The labeling of the shape that the plan places: the role map
+    (labeling.ROLES) written here.  Mirror and twin are relabelings of the
+    roles at write time: a reflected plan is written with the mirror roles'
+    codes, and with twin set the plan of the shape's empty_x_twin with the
     corner's.  From C(h2+1,h3-1,0) with spine (b1,b2,b3), C(0,h2,h3) has
     a2 = b1, a3 = b2, a1 the lowest X hair, Y the other X hairs and Z the Y
     hairs and b3; the mirror corner likewise.  On a model in the top
@@ -408,7 +409,7 @@ def _realize(params: GroupParams, shape: Shape, plan: ComponentPlan, twin: bool 
                 roles[v] = code[role]
     if spine:
         roles[roles.index(5)] = spine  # the lowest cell coded y
-    return labeling.role_map_to_labeling(params, shape, roles)
+    return Labeling(params, bytes(roles))
 
 
 def empty_x_twin(params: GroupParams, shape: Shape) -> Optional[Shape]:

@@ -1,24 +1,27 @@
-"""Caterpillar data model: shapes, labelings, role maps, the verifier, the
+"""Caterpillar data model: shapes, labelings as role maps, the verifier, the
 edge-label bit table, and the JSON schema.
 
 The caterpillar C(h1,h2,h3) has three spine vertices carrying h1, h2, h3
 pendant hairs; its order equals the group order p^k.  A labeling assigns a
-distinct group element to every vertex; hair vertices are anonymous, so hair
-labels are stored as sets.  The verifier is the ground truth: a labeling is
-valid iff vertex labels are a bijection onto the group and the p^k - 1 edge
-sums are pairwise distinct.
+distinct group element to every vertex.  Hair vertices are anonymous, so a
+labeling is a map from the group onto the roles s1, s2, s3, x, y, z with
+class sizes (1, 1, 1, h1, h2, h3): its role map, one byte per element,
+which is what a Labeling holds.  The verifier is the ground truth: a
+labeling is valid iff vertex labels are a bijection onto the group and the
+p^k - 1 edge sums are pairwise distinct.  A role map is a bijection by its
+form, so verify checks its class sizes and its edge labels; labels from
+outside, which may repeat or fall outside the group, go to verify_labels.
 
-A Labeling, a VerifyReport, a role map (one role code per element) and
-the edge-label bit table all hold elements as integer indices (see group).
-Coordinates appear only in the JSON schema, whose reader validates each
-element as it converts it and whose writer formats the indices as it prints
-them.
+A Labeling, a VerifyReport and the edge-label bit table hold elements as
+integer indices (see group).  Coordinates appear only in the JSON schema,
+whose reader validates each element as it converts it and whose writer
+formats the role map's classes a chunk at a time as it prints them.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import group
 from .errors import (
@@ -74,22 +77,33 @@ def _check_shape(params: GroupParams, shape: Shape) -> None:
         raise InvalidShapeError(f"shape {shape.h} invalid for Z_{params.p}^{params.k}")
 
 
-class Labeling(NamedTuple):
-    """Tree-side picture: spine labels (a1,a2,a3) plus sorted hair label
-    sets, as element indices of the group of ``params``.
+# A role map holds one code per element in bytes of the group order: role i
+# of ROLES has code i + 1 (s1, s2, s3 are 1-3; x, y, z 4-6).
+# _PICK[codes] is the bytes.translate table that maps those codes to 1.
+ROLES = SPINE_ROLES + HAIR_ROLES
+_PICK = {c: bytes(b in c for b in range(256)) for c in ((4,), (5,), (6,), (1, 3, 5))}
 
-    spine, x, y and z are read-only views of the same labels as coordinate
+
+class Labeling(NamedTuple):
+    """A labeling as its role map: role_map[v] is the code (ROLES) of the
+    vertex labeled by the element of index v.
+
+    spine_ix and the hair classes x_ix, y_ix, z_ix (sorted) are read-only
+    views of it as element indices, spine, x, y and z the same as coordinate
     tuples, computed on each access and never stored.
     """
 
     params: GroupParams
-    spine_ix: Tuple[int, int, int]
-    x_ix: Tuple[int, ...]
-    y_ix: Tuple[int, ...]
-    z_ix: Tuple[int, ...]
+    role_map: bytes
+
+    spine_ix = property(lambda self: tuple(map(self.role_map.index, (1, 2, 3))))
 
     def hair_ix(self, role: str) -> Tuple[int, ...]:
-        return {X: self.x_ix, Y: self.y_ix, Z: self.z_ix}[role]
+        return tuple(hair_cells(self, role))
+
+    x_ix = property(lambda self: self.hair_ix(X))
+    y_ix = property(lambda self: self.hair_ix(Y))
+    z_ix = property(lambda self: self.hair_ix(Z))
 
     def vertices(self) -> Tuple[int, ...]:
         """Every label in vertex order: the spine, then the x, y, z hairs."""
@@ -97,7 +111,7 @@ class Labeling(NamedTuple):
 
     def roles(self) -> Tuple[str, ...]:
         """The role of every label, in vertices() order."""
-        return SPINE_ROLES + (X,) * len(self.x_ix) + (Y,) * len(self.y_ix) + (Z,) * len(self.z_ix)
+        return SPINE_ROLES + sum(((r,) * self.role_map.count(c) for c, r in enumerate(HAIR_ROLES, 4)), ())
 
     def _tuples(self, cells: Sequence[int]) -> Tuple[Element, ...]:
         return tuple(map(self.params.element, cells))
@@ -108,27 +122,30 @@ class Labeling(NamedTuple):
     z = property(lambda self: self._tuples(self.z_ix))
 
 
+def hair_cells(lab: Labeling, role: str) -> Iterator[int]:
+    """The labels of a hair class, in index order."""
+    pick = _PICK[(4 + HAIR_ROLES.index(role),)]
+    return itertools.compress(range(len(lab.role_map)), lab.role_map.translate(pick))
+
+
 def make_labeling(params: GroupParams, spine, x, y, z) -> Labeling:
-    return Labeling(params, tuple(spine), tuple(sorted(x)), tuple(sorted(y)), tuple(sorted(z)))
-
-
-# A role map holds one code per element in a bytearray of the group order:
-# role i of ROLES has code i + 1 (s1, s2, s3 are 1-3; x, y, z 4-6), 0 is none.
-# _PICK[codes] is the bytes.translate table that maps those codes to 1.
-ROLES = SPINE_ROLES + HAIR_ROLES
-_PICK = {c: bytes(b in c for b in range(256)) for c in ((4,), (5,), (6,), (1, 3, 5))}
-
-
-def role_map_to_labeling(params: GroupParams, shape: Shape, roles: bytearray) -> Labeling:
-    """The labeling of a role map of the shape.  A hair class is read in
-    index order through a list: a tuple built from the iterator keeps more
-    memory."""
-    cells = range(params.order)
-    hairs = [tuple(list(itertools.compress(cells, roles.translate(_PICK[(c,)])))) for c in (4, 5, 6)]
-    sizes = tuple(map(len, hairs))
-    if sizes != shape.h:
-        raise PartitionShapeMismatchError(f"role-class sizes {sizes} != shape {shape.h}")
-    return Labeling(params, tuple(map(roles.index, (1, 2, 3))), *hairs)
+    """The labeling with spine labels (a1, a2, a3) and hair classes x, y, z
+    (element indices, in any order); ValueError unless they are a bijection
+    onto the group.  n = p^k labels are one when they leave no cell of the
+    role map empty and sum to 0 + 1 + ... + (n - 1), which a negative index,
+    wrapped around in the map, does not."""
+    n, classes = params.order, (*zip(spine), x, y, z)  # codes 1 to 6
+    roles = bytearray(n)
+    if len(classes) == 6 and sum(map(len, classes)) == n:
+        try:
+            for code, cells in enumerate(classes, 1):
+                for v in cells:
+                    roles[v] = code
+        except IndexError:  # the label not written leaves a cell empty
+            pass
+    if 0 in roles or sum(map(sum, classes)) != n * (n - 1) // 2:
+        raise ValueError(f"labels are not a bijection onto Z_{params.p}^{params.k}")
+    return Labeling(params, bytes(roles))
 
 
 # Role classes: each of S1, S2, S3, X, Y, Z -> its cells, in any order.
@@ -159,24 +176,26 @@ class VerifyReport(NamedTuple):
     missing_edge_label: Optional[int] = None
 
 
-def _edges(lab: Labeling):
-    """Caterpillar edges as (endpoint label, endpoint label) pairs, canonical order."""
-    a1, a2, a3 = lab.spine_ix
+def _edges(spine: Sequence[int], hairs: Sequence[Sequence[int]]):
+    """Caterpillar edges as (endpoint label, endpoint label) pairs, canonical
+    order, for spine labels and the x, y, z hair classes."""
+    a1, a2, a3 = spine
     yield (a1, a2)
     yield (a2, a3)
-    for spine_label, role in ((a1, X), (a2, Y), (a3, Z)):
-        for e in lab.hair_ix(role):
+    for spine_label, cells in zip(spine, hairs):
+        for e in cells:
             yield (spine_label, e)
 
 
-def edge_labels(params: GroupParams, lab: Labeling) -> List[int]:
+def edge_labels(params: GroupParams, spine: Sequence[int], hairs: Sequence[Sequence[int]]) -> List[int]:
     """The label of every edge, in _edges order."""
-    a1, a2, a3 = lab.spine_ix
+    a1, a2, a3 = spine
+    x, y, z = hairs
     return (
         group.translate(params, a2, (a1, a3))
-        + group.translate(params, a1, lab.x_ix)
-        + group.translate(params, a2, lab.y_ix)
-        + group.translate(params, a3, lab.z_ix)
+        + group.translate(params, a1, x)
+        + group.translate(params, a2, y)
+        + group.translate(params, a3, z)
     )
 
 
@@ -194,46 +213,64 @@ def _first_repeat(keys: Sequence[int]) -> Optional[Tuple[int, int]]:
 
 
 def verify(params: GroupParams, shape: Shape, lab: Labeling) -> VerifyReport:
-    """Check hair counts against the shape, vertex bijectivity and edge-label
-    distinctness; report the first failure found in canonical scan order, or
-    the missing edge label if valid.  A count mismatch raises
-    PartitionShapeMismatchError, a label outside [0, p^k) InvalidElementError.
+    """Check the role classes' sizes against the shape and the edge labels'
+    distinctness; report the first repeated edge label in canonical scan
+    order, or the missing edge label if valid.  A size mismatch raises
+    PartitionShapeMismatchError.
 
-    The labels are scattered once into a role map.  p^k labels are a
-    bijection when no cell is left empty and they sum to 0 + 1 + ... +
-    (p^k - 1), which a negative index, wrapped around in the map, does not.
-    The edge labels are then three translated sets (group.translate_set),
+    A role map whose classes have the shape's sizes is a bijection onto the
+    group.  Its edge labels are three translated sets (group.translate_set),
     distinct when they miss exactly one cell, the missing edge label.  Only
-    on a failure are the labels scanned one by one, in order.
+    on a repeat are the edges scanned one by one, in order.
     """
     _check_shape(params, shape)
-    sizes = (len(lab.x_ix), len(lab.y_ix), len(lab.z_ix))
+    roles, n = lab.role_map, params.order
+    counts = tuple(map(roles.count, range(1, 7)))
+    if counts[3:] != shape.h:
+        raise PartitionShapeMismatchError(f"hair counts {counts[3:]} != shape {shape.h}")
+    if counts[:3] != (1, 1, 1) or len(roles) != n:
+        raise PartitionShapeMismatchError(f"spine role counts {counts[:3]} in {len(roles)} cells, not 1 in {n}")
+    spine = lab.spine_ix
+    edges = 0  # a1 + X, a2 + (a1, a3, Y), a3 + Z
+    for a, codes in zip(spine, ((4,), (1, 3, 5), (6,))):
+        edges |= group.translate_set(params, a, int.from_bytes(roles.translate(_PICK[codes]), "little"))
+    covered = edges.to_bytes(n, "little")
+    if covered.count(0) == 1:
+        return VerifyReport(True, missing_edge_label=covered.index(0))
+    return _scan(params, spine, tuple(map(lab.hair_ix, HAIR_ROLES)))
+
+
+def verify_labels(params: GroupParams, shape: Shape, spine, x, y, z) -> VerifyReport:
+    """verify for labels from outside: spine labels (a1, a2, a3) and hair
+    classes x, y, z as element indices, which may repeat or fall outside
+    [0, p^k).  A hair count off the shape raises PartitionShapeMismatchError.
+    Labels that are a bijection go to verify as their role map; any others
+    are scanned in canonical order, each hair class sorted, and a label
+    outside [0, p^k) raises InvalidElementError."""
+    _check_shape(params, shape)
+    sizes = (len(x), len(y), len(z))
     if sizes != shape.h:
         raise PartitionShapeMismatchError(f"hair counts {sizes} != shape {shape.h}")
-    n, roles = params.order, bytearray(params.order)
-    classes = (*zip(lab.spine_ix), lab.x_ix, lab.y_ix, lab.z_ix)  # codes 1 to 6
     try:
-        for code, cells in enumerate(classes, 1):
-            for v in cells:
-                roles[v] = code
-    except IndexError:  # the scan names the index
-        pass
-    else:
-        if len(classes) == 6 and 0 not in roles and sum(map(sum, classes)) == n * (n - 1) // 2:
-            edges = 0  # a1 + X, a2 + (a1, a3, Y), a3 + Z
-            for a, codes in zip(lab.spine_ix, ((4,), (1, 3, 5), (6,))):
-                edges |= group.translate_set(params, a, int.from_bytes(roles.translate(_PICK[codes]), "little"))
-            covered = edges.to_bytes(n, "little")
-            if covered.count(0) == 1:
-                return VerifyReport(True, missing_edge_label=covered.index(0))
-    idx = lab.vertices()
+        lab = make_labeling(params, spine, x, y, z)
+    except ValueError:
+        return _scan(params, spine, tuple(map(sorted, (x, y, z))))
+    return verify(params, shape, lab)
+
+
+def _scan(params: GroupParams, spine: Sequence[int], hairs: Sequence[Sequence[int]]) -> VerifyReport:
+    """The first failure in canonical scan order of labels that fail: a
+    label outside [0, p^k), a repeated vertex label, a repeated edge
+    label."""
+    idx = [*spine, *itertools.chain.from_iterable(hairs)]
+    n = params.order
     if min(idx) < 0 or max(idx) >= n:
         bad = next(v for v in idx if not 0 <= v < n)
         raise InvalidElementError(f"{bad} is not an element index of Z_{params.p}^{params.k}")
 
     dup_vertex = _first_repeat(idx)
     if dup_vertex is not None:
-        roles = lab.roles()
+        roles = [*SPINE_ROLES, *(role for role, cells in zip(HAIR_ROLES, hairs) for _ in cells)]
         dup_vertex = tuple(
             f"spine{i + 1}" if i < 3 else f"hair {roles[i]} {params.element(idx[i])}"
             for i in dup_vertex
@@ -244,16 +281,12 @@ def verify(params: GroupParams, shape: Shape, lab: Labeling) -> VerifyReport:
             f"labeling has {len(idx)} vertices, group has {n}"
         )
 
-    sums = edge_labels(params, lab)
+    sums = edge_labels(params, spine, hairs)
     dup_edge = _first_repeat(sums)
     if dup_edge is not None:
-        edges = list(_edges(lab))
+        edges = list(_edges(spine, hairs))
         dup_edge = tuple(edges[i] for i in dup_edge)
-
-    valid = dup_vertex is None and dup_edge is None
-    # the n - 1 distinct edge labels miss exactly one index
-    missing = n * (n - 1) // 2 - sum(sums) if valid else None
-    return VerifyReport(valid, dup_vertex, dup_edge, missing)
+    return VerifyReport(False, dup_vertex, dup_edge)
 
 
 def missing_edge_label(params: GroupParams, shape: Shape, spine: Sequence[int]) -> int:
@@ -292,36 +325,56 @@ def role_label_bits(
 
 # --- JSON schema (bit-exact CLI contract) ---------------------------------
 
-# json.dumps of {"group", "shape", "spine", "hairs"}, every element a list of
-# its coordinates; the label arrays are written by group.format_elements.
-_JSON = (
-    '{"group": {"p": %d, "k": %d}, "shape": {"h": [%d, %d, %d]}, '
-    '"spine": %s, "hairs": {"x": %s, "y": %s, "z": %s}}'
-)
+# Labels per piece of writer output: a writer holds the text of one chunk of
+# a class at a time, not the whole labeling's.
+CHUNK = 65536
+
+
+def format_cells(
+    params: GroupParams, cells: Iterable[int], sep: str, brackets: str, between: str
+) -> Iterator[str]:
+    """The coordinates of the indices (group.format_elements with sep and
+    brackets), joined by ``between``, in pieces of CHUNK labels."""
+    cells, lead = iter(cells), ""
+    for chunk in iter(lambda: list(itertools.islice(cells, CHUNK)), []):
+        yield lead + between.join(group.format_elements(params, chunk, sep, brackets))
+        lead = between
+
+
+def json_pieces(params: GroupParams, shape: Shape, lab: Labeling) -> Iterator[str]:
+    """``label --format json`` in pieces: json.dumps of {"group", "shape",
+    "spine", "hairs"}, every element a list of its coordinates."""
+    head = '{"group": {"p": %d, "k": %d}, "shape": {"h": [%d, %d, %d]}, "spine": ['
+    yield head % (params.p, params.k, *shape.h)
+    classes = [lab.spine_ix] + [hair_cells(lab, role) for role in HAIR_ROLES]
+    for cells, tail in zip(classes, ('], "hairs": {"x": [', '], "y": [', '], "z": [', "]}}")):
+        yield from format_cells(params, cells, ", ", "[]", ", ")
+        yield tail
 
 
 def labeling_to_json(params: GroupParams, shape: Shape, lab: Labeling) -> str:
-    arrays = [
-        "[" + ", ".join(group.format_elements(params, cells, ", ", "[]")) + "]"
-        for cells in (lab.spine_ix, lab.x_ix, lab.y_ix, lab.z_ix)
-    ]
-    return _JSON % (params.p, params.k, *shape.h, *arrays)
+    return "".join(json_pieces(params, shape, lab))
 
 
-def labeling_from_dict(data: dict) -> Tuple[GroupParams, Shape, Labeling]:
-    """Parse the JSON schema; every element is validated as it is converted
-    to its index (group.element_from_json), the first invalid one raising
-    InvalidElementError."""
+def _indices(params: GroupParams, cells, name: str) -> List[int]:
+    if type(cells) is not list:
+        raise RainbowError(f"malformed labeling payload: {name} is a {type(cells).__name__}, not a list")
+    return [group.element_from_json(params, e) for e in cells]
+
+
+def labeling_from_dict(data: dict) -> Tuple[GroupParams, Shape, List[int], List[int], List[int], List[int]]:
+    """Parse the JSON schema into the group, the shape, and the spine and
+    x, y, z labels as element indices in payload order (verify_labels'
+    arguments).  Every label array must be a list; every element is
+    validated as it is converted to its index (group.element_from_json),
+    the first invalid one raising InvalidElementError."""
     try:
         params = GroupParams(data["group"]["p"], data["group"]["k"])
         shape = make_shape(params, data["shape"]["h"])
-        spine = [group.element_from_json(params, e) for e in data["spine"]]
+        spine = _indices(params, data["spine"], "spine")
         if len(spine) != 3:
             raise InvalidShapeError("spine must have three labels")
-        hairs = [
-            [group.element_from_json(params, e) for e in data["hairs"][role]]
-            for role in HAIR_ROLES
-        ]
+        hairs = [_indices(params, data["hairs"][role], f"hairs {role}") for role in HAIR_ROLES]
     except (KeyError, TypeError) as exc:
         raise RainbowError(f"malformed labeling payload: {exc}") from exc
-    return params, shape, make_labeling(params, spine, *hairs)
+    return (params, shape, spine, *hairs)

@@ -48,8 +48,8 @@ class TestLabel:
     def test_json_roundtrip(self, capsys):
         code, out, _ = run(capsys, "label", "--p", "3", "--k", "2", "--hairs", "1,3,2", "--format", "json")
         assert code == 0
-        params, shape, lab = labeling.labeling_from_dict(json.loads(out))
-        assert labeling.verify(params, shape, lab).valid
+        params, shape, *labels = labeling.labeling_from_dict(json.loads(out))
+        assert labeling.verify_labels(params, shape, *labels).valid
 
     def test_infeasible_exit_1(self, capsys):
         code, out, _ = run(capsys, "label", "--p", "5", "--k", "2", "--hairs", "0,3,19")
@@ -160,8 +160,23 @@ def test_writers_match_tuple_reference(p, k):
             continue
         lab = constructor.construct(params, shape)
         assert labeling.labeling_to_json(params, shape, lab) + "\n" == reference_json(params, shape, lab)
-        assert cli._text(params, shape, lab) == reference_text(params, shape, lab)
+        assert "".join(cli._text(params, shape, lab)) == reference_text(params, shape, lab)
         assert cli._dot(params, lab) == reference_dot(params, shape, lab)
+
+
+def test_writers_across_chunks(capsys, monkeypatch):
+    """The JSON and text writers print a class a chunk at a time; on Z_2^17
+    the z class of 131,068 labels takes two chunks of 65,536 and three of
+    50,000, and either way the output equals the tuple-based writers'."""
+    params = GroupParams(2, 17)
+    shape = labeling.make_shape(params, (0, 1, 131068))
+    lab = constructor.construct(params, shape)
+    expected = {"json": reference_json(params, shape, lab), "text": reference_text(params, shape, lab)}
+    for chunk in (labeling.CHUNK, 50_000):
+        monkeypatch.setattr(labeling, "CHUNK", chunk)
+        for fmt, text in expected.items():
+            argv = ["label", "--p", "2", "--k", "17", "--hairs", "0,1,131068", "--format", fmt]
+            assert run(capsys, *argv)[:2] == (0, text), (chunk, fmt)
 
 
 @pytest.mark.parametrize(
@@ -443,6 +458,22 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--input", str(f))
         assert code == 2
         assert not out.startswith("valid")
+
+    @pytest.mark.parametrize("where, value", [("x", {}), ("x", ""), ("spine", {})])
+    def test_label_array_not_a_list_exit_2(self, capsys, tmp_path, where, value):
+        # an empty dict or string read as an empty hair class made this
+        # payload (h1 = 0) valid
+        _, out, _ = run(capsys, "label", "--p", "2", "--k", "3", "--hairs", "0,1,4", "--format", "json")
+        data = json.loads(out)
+        if where == "spine":
+            data["spine"] = dict(zip("abc", data["spine"]))
+        else:
+            data["hairs"][where] = value
+        f = tmp_path / "not_a_list.json"
+        f.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify", "--input", str(f))
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error: malformed labeling payload")
 
     def test_malformed_json(self, capsys, tmp_path):
         f = tmp_path / "broken.json"

@@ -66,11 +66,12 @@ class TestShape:
     "value, field",
     [
         (labeling.Shape((1, 3, 2)), "h"),
+        (VALID[0][2], "role_map"),
         (VALID[0][2], "x_ix"),
         (VALID[0][2], "spine"),
         (constructor.plan_components(GroupParams(5, 2), labeling.Shape((3, 5, 14))), "patterns"),
     ],
-    ids=["Shape.h", "Labeling.x_ix", "Labeling.spine", "ComponentPlan.patterns"],
+    ids=["Shape.h", "Labeling.role_map", "Labeling.x_ix", "Labeling.spine", "ComponentPlan.patterns"],
 )
 def test_values_are_immutable(value, field):
     with pytest.raises(AttributeError):
@@ -109,7 +110,8 @@ class TestPartitionCorrespondence:
         shape = labeling.make_shape(params, (2, 3, 1))
         part = {S1: [3], S2: [0], S3: [6], X: [8, 1], Y: [7, 5, 2], Z: [4]}
         lab = labeling.partition_to_labeling(params, shape, part)
-        assert lab == labeling.Labeling(params, (3, 0, 6), (1, 8), (2, 5, 7), (4,))
+        assert lab == labeling.make_labeling(params, (3, 0, 6), (8, 1), (7, 5, 2), (4,))
+        assert (lab.spine_ix, lab.x_ix, lab.y_ix, lab.z_ix) == ((3, 0, 6), (1, 8), (2, 5, 7), (4,))
 
     def test_size_mismatch(self):
         params = GroupParams(2, 2)
@@ -137,13 +139,22 @@ class TestVerify:
     def test_duplicate_vertex(self):
         params = GroupParams(5, 1)
         shape = labeling.make_shape(params, (1, 0, 1))
-        lab = labeling.make_labeling(params, (1, 0, 2), [1], [], [4])
-        report = labeling.verify(params, shape, lab)
+        report = labeling.verify_labels(params, shape, (1, 0, 2), [1], [], [4])
         assert not report.valid
         assert report.duplicate_vertex is not None
         assert report == labeling.VerifyReport(
             False, ("spine1", "hair x (1,)"), ((0, 2), (1, 1)), None
         )
+
+    @pytest.mark.parametrize(
+        "role_map", [b"\x01\x02\x02\x04\x06", b"\x01\x02\x03\x04\x06\x00"], ids=["two-s2", "long"]
+    )
+    def test_role_map_needs_one_cell_per_spine_role(self, role_map):
+        # hair counts match the shape, but the role map is no labeling of Z_5
+        params = GroupParams(5, 1)
+        shape = labeling.make_shape(params, (1, 0, 1))
+        with pytest.raises(PartitionShapeMismatchError):
+            labeling.verify(params, shape, labeling.Labeling(params, role_map))
 
     def test_hair_counts_must_match_shape(self):
         # a rainbow labeling of (2,5,15) declared as (3,5,14): a bijection
@@ -249,8 +260,8 @@ class TestJsonSchema:
     def test_roundtrip(self):
         for params, shape, lab in VALID:
             data = json.loads(labeling.labeling_to_json(params, shape, lab))
-            p2, s2, l2 = labeling.labeling_from_dict(data)
-            assert (p2, s2, l2) == (params, shape, lab)
+            p2, s2, *labels = labeling.labeling_from_dict(data)
+            assert (p2, s2, labeling.make_labeling(p2, *labels)) == (params, shape, lab)
 
     def test_schema_fields(self):
         params, shape, lab = VALID[0]

@@ -157,17 +157,19 @@ def reference_from_twin(params: GroupParams, shape: Shape, twin: Labeling) -> La
     return reflect(params, lab) if mirrored else lab
 
 
-def reference_verify(params: GroupParams, shape: Shape, lab: Labeling) -> labeling.VerifyReport:
-    """labeling.verify by lists: a range check, then the first repeat among
-    the vertices and among the edge labels of group.translate, each found
-    by a set and a scan in canonical order.  The reference that
-    labeling.verify, which checks a valid labeling on a role map and
-    translated sets, is checked against."""
+def reference_verify(params: GroupParams, shape: Shape, spine, x, y, z) -> labeling.VerifyReport:
+    """labeling.verify_labels by lists, each hair class sorted: a range
+    check, then the first repeat among the vertices and among the edge
+    labels of group.translate, each found by a set and a scan in canonical
+    order.  The reference that labeling.verify_labels, which checks labels
+    that are a bijection on their role map and translated sets, is checked
+    against."""
     labeling._check_shape(params, shape)
-    sizes = (len(lab.x_ix), len(lab.y_ix), len(lab.z_ix))
+    sizes = (len(x), len(y), len(z))
     if sizes != shape.h:
         raise PartitionShapeMismatchError(f"hair counts {sizes} != shape {shape.h}")
-    idx = lab.vertices()
+    spine, hairs = tuple(spine), (tuple(sorted(x)), tuple(sorted(y)), tuple(sorted(z)))
+    idx = spine + hairs[0] + hairs[1] + hairs[2]
     n = params.order
     if min(idx) < 0 or max(idx) >= n:
         bad = next(v for v in idx if not 0 <= v < n)
@@ -175,7 +177,7 @@ def reference_verify(params: GroupParams, shape: Shape, lab: Labeling) -> labeli
 
     dup_vertex = labeling._first_repeat(idx)
     if dup_vertex is not None:
-        roles = lab.roles()
+        roles = SPINE_ROLES + tuple(role for role, cells in zip(HAIR_ROLES, hairs) for _ in cells)
         dup_vertex = tuple(
             f"spine{i + 1}" if i < 3 else f"hair {roles[i]} {params.element(idx[i])}"
             for i in dup_vertex
@@ -183,10 +185,10 @@ def reference_verify(params: GroupParams, shape: Shape, lab: Labeling) -> labeli
     elif len(idx) != n:
         raise PartitionShapeMismatchError(f"labeling has {len(idx)} vertices, group has {n}")
 
-    sums = labeling.edge_labels(params, lab)
+    sums = labeling.edge_labels(params, spine, hairs)
     dup_edge = labeling._first_repeat(sums)
     if dup_edge is not None:
-        edges = list(labeling._edges(lab))
+        edges = list(labeling._edges(spine, hairs))
         dup_edge = tuple(edges[i] for i in dup_edge)
 
     valid = dup_vertex is None and dup_edge is None
@@ -282,10 +284,13 @@ def _map_labels(lab: Labeling, f) -> Labeling:
     )
 
 
+_MIRROR_CODES = bytes.maketrans(b"\x01\x03\x04\x06", b"\x03\x01\x06\x04")
+
+
 def reflect(params: GroupParams, lab: Labeling) -> Labeling:
-    """Reverse the spine: swap a1<->a3 and the X/Z hair sets."""
-    a1, a2, a3 = lab.spine_ix
-    return Labeling(params, (a3, a2, a1), lab.z_ix, lab.y_ix, lab.x_ix)
+    """Reverse the spine: swap the role codes of a1<->a3 and of the X/Z hair
+    sets."""
+    return Labeling(params, lab.role_map.translate(_MIRROR_CODES))
 
 
 def translate(params: GroupParams, lab: Labeling, c: Element) -> Labeling:
